@@ -4,8 +4,7 @@
 //! noisier Eraser-style lockset baseline) this harness reports:
 //!
 //! - Phase-1 candidate pair counts, and how many the static filter prunes
-//!   per refutation reason (MHP-impossible / common-lock / thread-confined /
-//!   footprint-no-alias);
+//!   per refutation reason (MHP-impossible / common-lock / thread-confined);
 //! - Phase-1→Phase-2 wall-clock with and without the filter;
 //! - a **regression check**: the races Phase 2 confirms must be identical
 //!   with and without pruning (a sound filter never removes a real race).
@@ -83,7 +82,6 @@ struct Measurement {
     pruned_mhp: usize,
     pruned_common_lock: usize,
     pruned_confined: usize,
-    pruned_footprint: usize,
     kept: usize,
     baseline_ms: u128,
     filtered_ms: u128,
@@ -92,7 +90,7 @@ struct Measurement {
 
 impl Measurement {
     fn pruned(&self) -> usize {
-        self.pruned_mhp + self.pruned_common_lock + self.pruned_confined + self.pruned_footprint
+        self.pruned_mhp + self.pruned_common_lock + self.pruned_confined
     }
 
     fn to_json(&self) -> Json {
@@ -103,7 +101,6 @@ impl Measurement {
             ("pruned_mhp_impossible", Json::usize(self.pruned_mhp)),
             ("pruned_common_lock", Json::usize(self.pruned_common_lock)),
             ("pruned_thread_confined", Json::usize(self.pruned_confined)),
-            ("pruned_footprint_no_alias", Json::usize(self.pruned_footprint)),
             ("phase2_pairs", Json::usize(self.kept)),
             ("wall_ms_without_filter", Json::u64(self.baseline_ms as u64)),
             ("wall_ms_with_filter", Json::u64(self.filtered_ms as u64)),
@@ -167,7 +164,6 @@ fn measure(workload: &Workload, policy: Policy, trials: usize) -> Measurement {
         pruned_mhp: stats.pruned_mhp,
         pruned_common_lock: stats.pruned_common_lock,
         pruned_confined: stats.pruned_confined,
-        pruned_footprint: stats.pruned_footprint,
         kept: stats.kept,
         baseline_ms,
         filtered_ms,
@@ -191,7 +187,7 @@ fn main() -> ExitCode {
     }
 
     let mut table = TextTable::new([
-        "workload", "policy", "phase1", "mhp", "lock", "confined", "fprint", "phase2",
+        "workload", "policy", "phase1", "mhp", "lock", "confined", "phase2",
         "base ms", "filt ms",
     ]);
     for m in &measurements {
@@ -202,7 +198,6 @@ fn main() -> ExitCode {
             m.pruned_mhp.to_string(),
             m.pruned_common_lock.to_string(),
             m.pruned_confined.to_string(),
-            m.pruned_footprint.to_string(),
             m.kept.to_string(),
             m.baseline_ms.to_string(),
             m.filtered_ms.to_string(),

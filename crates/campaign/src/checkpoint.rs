@@ -512,7 +512,7 @@ mod tests {
                     pair,
                     seed: 2,
                     attempts: 0,
-                    reason: QuarantineReason::StaticallyPruned(PruneReason::FootprintNoAlias),
+                    reason: QuarantineReason::StaticallyPruned(PruneReason::ThreadConfined),
                 },
             ],
             soundness_bugs: vec!["pair #2/#9 confirmed but refuted".to_owned()],

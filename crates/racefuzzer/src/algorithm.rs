@@ -19,14 +19,14 @@
 //!   postponed thread would set.
 //!
 //! The loop optionally cooperates with the snapshot layer
-//! ([`crate::snapshot`]): trials fork from cached copy-on-write prefixes
-//! and report every non-forced random choice to a per-pair decision trie.
-//! With no cache attached the control flow — and, critically, the RNG draw
-//! sequence — is exactly the paper's algorithm.
+//! ([`crate::snapshot`]): a trial forks from the cached copy-on-write entry
+//! prologue and discards the RNG draws that prologue consumed. Either way
+//! the control flow — and, critically, the RNG draw sequence — is exactly
+//! the paper's algorithm.
 
 use crate::config::FuzzConfig;
 use crate::outcome::{FuzzOutcome, RealRaceEvent};
-use crate::snapshot::{PairCache, SnapshotMode, TrialSession};
+use crate::snapshot::{PairCache, SnapshotMode};
 use cil::flat::InstrId;
 use detector::RacePair;
 use interp::{Execution, NullObserver, Rng, SetupError, Termination, ThreadId};
@@ -100,8 +100,7 @@ pub(crate) fn fuzz_once_session<'p>(
             && !config.record_schedule
             && config.wall_clock.is_none()
     });
-    let mut session = cache.map(|cache| cache.begin_trial(program, entry, config));
-    let resume = session.as_ref().and_then(TrialSession::resume_point);
+    let resume = cache.and_then(|cache| cache.begin_trial(program, entry, config));
 
     let mut local = TrialScratch::new();
     let scratch = scratch.unwrap_or(&mut local);
@@ -138,7 +137,6 @@ pub(crate) fn fuzz_once_session<'p>(
     let stop_mask = exec.stop_mask(&race_list);
 
     let mut rng = Rng::seeded(config.seed);
-    let mut draws: u64 = 0;
     // The postponed set, with the scheduler-decision index at which each
     // thread was postponed (for the livelock monitor).
     let mut postponed: Vec<(ThreadId, u64)> = Vec::new();
@@ -146,9 +144,6 @@ pub(crate) fn fuzz_once_session<'p>(
     let mut decisions: u64 = 0;
     if let Some(snap) = &resume {
         rng.discard(snap.draws);
-        draws = snap.draws;
-        postponed.extend_from_slice(&snap.postponed);
-        races.extend_from_slice(&snap.races);
         decisions = snap.decisions;
     }
     let mut schedule: Option<Vec<ThreadId>> = config.record_schedule.then(Vec::new);
@@ -156,9 +151,6 @@ pub(crate) fn fuzz_once_session<'p>(
     let mut observer = NullObserver;
 
     let termination = loop {
-        if let Some(session) = session.as_mut() {
-            session.at_loop_top(exec, &postponed, &races, decisions, draws);
-        }
         if let Some(error) = exec.engine_error() {
             break Termination::EngineError(error.clone());
         }
@@ -226,21 +218,14 @@ pub(crate) fn fuzz_once_session<'p>(
             // Algorithm 1 lines 26–28 (also reachable when a non-postponed
             // thread blocked): release a random postponed thread and run
             // its pending statement.
-            let index = draw_pick(&mut rng, &mut draws, postponed.len(), &mut session, cache);
-            let (freed, _) = postponed.remove(index);
+            let (freed, _) = postponed.remove(rng.below(postponed.len()));
             if exec.is_enabled(freed) {
                 step(exec, freed, &mut schedule, &mut observer);
             }
             continue;
         }
 
-        let chosen = candidates[draw_pick(
-            &mut rng,
-            &mut draws,
-            candidates.len(),
-            &mut session,
-            cache,
-        )];
+        let chosen = candidates[rng.below(candidates.len())];
         let next = exec.next_instr(chosen);
         let targeted = next.is_some_and(&in_race_set);
 
@@ -295,7 +280,7 @@ pub(crate) fn fuzz_once_session<'p>(
                         partners: vec![partner],
                     });
                 }
-                if draw_coin(&mut rng, &mut draws, &mut session, cache) {
+                if rng.coin() {
                     // Run the arriving thread; keep the others postponed.
                     step(exec, chosen, &mut schedule, &mut observer);
                 } else {
@@ -322,8 +307,7 @@ pub(crate) fn fuzz_once_session<'p>(
                 .iter()
                 .all(|thread| postponed.iter().any(|&(held, _)| held == *thread))
         {
-            let index = draw_pick(&mut rng, &mut draws, postponed.len(), &mut session, cache);
-            let (freed, _) = postponed.remove(index);
+            let (freed, _) = postponed.remove(rng.below(postponed.len()));
             if exec.is_enabled(freed) {
                 step(exec, freed, &mut schedule, &mut observer);
             }
@@ -339,44 +323,6 @@ pub(crate) fn fuzz_once_session<'p>(
         output: exec.output().to_vec(),
         schedule,
     })
-}
-
-/// Draws `rng.below(bound)` while keeping the trial's draw counter and the
-/// decision trie informed. A draw with `bound == 1` is *forced* — it always
-/// yields 0 — so only `bound >= 2` draws become trie nodes; forced draws
-/// still consume an RNG word, exactly as on the uncached path.
-fn draw_pick(
-    rng: &mut Rng,
-    draws: &mut u64,
-    bound: usize,
-    session: &mut Option<TrialSession>,
-    cache: Option<&PairCache>,
-) -> usize {
-    let before = *draws;
-    *draws += 1;
-    let outcome = rng.below(bound);
-    if bound >= 2 {
-        if let (Some(session), Some(cache)) = (session.as_mut(), cache) {
-            session.on_pick(cache, bound, outcome, before);
-        }
-    }
-    outcome
-}
-
-/// Draws the race-resolution coin, mirroring [`draw_pick`]'s bookkeeping.
-fn draw_coin(
-    rng: &mut Rng,
-    draws: &mut u64,
-    session: &mut Option<TrialSession>,
-    cache: Option<&PairCache>,
-) -> bool {
-    let before = *draws;
-    *draws += 1;
-    let outcome = rng.coin();
-    if let (Some(session), Some(cache)) = (session.as_mut(), cache) {
-        session.on_coin(cache, outcome, before);
-    }
-    outcome
 }
 
 fn step(

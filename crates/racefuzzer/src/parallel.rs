@@ -120,9 +120,9 @@ pub fn fuzz_pairs_parallel(
 }
 
 /// [`fuzz_pairs_parallel`] with optional per-pair snapshot caches
-/// (parallel to `targets`). Every worker shares a pair's cache read-side —
-/// the decision trie is the one deliberately shared piece of state in the
-/// pool — while scratch interpreter state stays worker-local. Reports are
+/// (parallel to `targets`). Every worker shares a pair's cache — the entry
+/// prologue is the one deliberately shared piece of state in the pool —
+/// while scratch interpreter state stays worker-local. Reports are
 /// still byte-identical to the sequential, cache-less fold; the caches
 /// only add the advisory [`PairReport::snapshots`] statistics.
 #[allow(clippy::too_many_arguments)]

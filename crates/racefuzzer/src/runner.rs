@@ -107,9 +107,9 @@ pub struct AnalyzeOptions {
     /// sequential path; more workers fan (pair, seed-range) chunks out over
     /// a work-stealing pool with byte-identical reports.
     pub parallel: ParallelOptions,
-    /// Snapshot acceleration ([`SnapshotMode::PrefixTrie`] by default):
-    /// trials fork from copy-on-write snapshots of shared execution
-    /// prefixes instead of replaying from instruction zero. Reports are
+    /// Snapshot acceleration ([`SnapshotMode::PrologueOnly`] by default):
+    /// trials fork from a copy-on-write snapshot of the shared entry
+    /// prologue instead of replaying from instruction zero. Reports are
     /// byte-identical in every mode; only wall-clock changes.
     pub snapshots: SnapshotOptions,
 }
@@ -560,7 +560,7 @@ pub fn analyze(
         .collect();
 
     // One `EntryCache` (shared prologue) spans every pair of the run; each
-    // pair gets its own decision trie.
+    // pair gets its own statistics.
     let entry_cache = (options.snapshots.mode != SnapshotMode::Off)
         .then(|| EntryCache::new(options.snapshots));
     let mut pairs = Vec::with_capacity(potential.len());

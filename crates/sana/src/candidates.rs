@@ -34,19 +34,12 @@ pub struct CandidateStats {
     pub refuted_common_lock: usize,
     /// Conflicting pairs refuted by thread confinement.
     pub refuted_confined: usize,
-    /// Conflicting pairs refuted by provably non-aliasing footprints.
-    /// Structurally zero here: the conflict test and the footprint
-    /// refutation are the same [`StaticRaceFilter::may_alias`] predicate,
-    /// so a non-aliasing pair is never counted as conflicting. Kept so the
-    /// stats stay exhaustive over [`PruneReason`].
-    pub refuted_footprint: usize,
 }
 
 impl CandidateStats {
     /// Total refuted conflicting pairs.
     pub fn refuted(&self) -> usize {
         self.refuted_mhp + self.refuted_common_lock + self.refuted_confined
-            + self.refuted_footprint
     }
 }
 
@@ -96,7 +89,6 @@ pub fn generate(program: &Program, filter: &StaticRaceFilter) -> StaticCandidate
                 Some(PruneReason::MhpImpossible) => stats.refuted_mhp += 1,
                 Some(PruneReason::CommonLock) => stats.refuted_common_lock += 1,
                 Some(PruneReason::ThreadConfined) => stats.refuted_confined += 1,
-                Some(PruneReason::FootprintNoAlias) => stats.refuted_footprint += 1,
             }
         }
     }

@@ -32,11 +32,6 @@ pub enum PruneReason {
     /// A statement's base object never escapes its creating thread, so no
     /// second thread can touch the location.
     ThreadConfined,
-    /// The statements' access footprints provably never name the same
-    /// dynamic location (disjoint place kinds, distinct globals or field
-    /// names, non-overlapping points-to bases, or distinct constant
-    /// element indices).
-    FootprintNoAlias,
 }
 
 impl PruneReason {
@@ -46,7 +41,6 @@ impl PruneReason {
             PruneReason::MhpImpossible => "mhp-impossible",
             PruneReason::CommonLock => "common-lock",
             PruneReason::ThreadConfined => "thread-confined",
-            PruneReason::FootprintNoAlias => "footprint-no-alias",
         }
     }
 
@@ -56,7 +50,6 @@ impl PruneReason {
             "mhp-impossible" => Some(PruneReason::MhpImpossible),
             "common-lock" => Some(PruneReason::CommonLock),
             "thread-confined" => Some(PruneReason::ThreadConfined),
-            "footprint-no-alias" => Some(PruneReason::FootprintNoAlias),
             _ => None,
         }
     }
@@ -79,8 +72,6 @@ pub struct FilterStats {
     pub pruned_common_lock: usize,
     /// Pruned because the touched object is confined to one thread.
     pub pruned_confined: usize,
-    /// Pruned because the access footprints provably never alias.
-    pub pruned_footprint: usize,
     /// Pairs that survived for Phase 2.
     pub kept: usize,
 }
@@ -88,7 +79,7 @@ pub struct FilterStats {
 impl FilterStats {
     /// Total pruned pairs.
     pub fn pruned(&self) -> usize {
-        self.pruned_mhp + self.pruned_common_lock + self.pruned_confined + self.pruned_footprint
+        self.pruned_mhp + self.pruned_common_lock + self.pruned_confined
     }
 
     /// Pruned fraction in `[0, 1]` (0 when no candidates).
@@ -106,7 +97,6 @@ impl FilterStats {
             Some(PruneReason::MhpImpossible) => self.pruned_mhp += 1,
             Some(PruneReason::CommonLock) => self.pruned_common_lock += 1,
             Some(PruneReason::ThreadConfined) => self.pruned_confined += 1,
-            Some(PruneReason::FootprintNoAlias) => self.pruned_footprint += 1,
             None => self.kept += 1,
         }
     }
@@ -200,15 +190,6 @@ impl StaticRaceFilter {
             || self.escape.confined_access(program, &self.cfg, &self.points_to, b)
         {
             return Some(PruneReason::ThreadConfined);
-        }
-
-        // Footprints that provably never name the same dynamic location —
-        // including two distinct constant element indices, which are
-        // distinct cells even in the same array. Sound because a race
-        // requires one location: the dynamic detector's `Loc` is
-        // element-index-precise, so a confirmable pair always aliases.
-        if !self.may_alias(program, a, b) {
-            return Some(PruneReason::FootprintNoAlias);
         }
 
         None
@@ -501,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_constant_indices_are_footprint_refuted() {
+    fn disjoint_constant_indices_across_threads_do_not_alias() {
         let (program, filter) = filter_for(
             r#"
             global arr;
@@ -520,13 +501,11 @@ mod tests {
         // cells. Regression for the prior pessimization where any two
         // element accesses on overlapping bases were treated as
         // overlapping regardless of constant indices.
-        let disjoint = RacePair::new(program.tagged_access("w"), program.tagged_access("m"));
-        assert_eq!(
-            filter.refute(&program, &disjoint),
-            Some(PruneReason::FootprintNoAlias)
-        );
-        // The same-cell pair must stay unrefuted (it is a real race).
-        let same = RacePair::new(program.tagged_access("w"), program.tagged_access("same"));
+        let at = |tag: &str| program.tagged_access(tag);
+        assert!(!filter.may_alias(&program, at("w"), at("m")));
+        // The same-cell pair aliases and stays unrefuted (it is a real race).
+        assert!(filter.may_alias(&program, at("w"), at("same")));
+        let same = RacePair::new(at("w"), at("same"));
         assert_eq!(filter.refute(&program, &same), None);
     }
 
@@ -580,7 +559,6 @@ mod tests {
             PruneReason::MhpImpossible,
             PruneReason::CommonLock,
             PruneReason::ThreadConfined,
-            PruneReason::FootprintNoAlias,
         ] {
             assert_eq!(PruneReason::from_tag(reason.tag()), Some(reason));
         }
