@@ -119,12 +119,29 @@ impl Json {
     /// Serializes with two-space indentation and a trailing newline.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Serializes on one line with no whitespace (journal records; strings
+    /// escape their newlines, so the output never contains one).
+    pub fn to_line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value; `indent` is the pretty-printing depth, or `None`
+    /// for the compact one-line form.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|depth| depth + 1);
+        let newline = |out: &mut String, depth: Option<usize>| {
+            if let Some(depth) = depth {
+                out.push('\n');
+                pad(out, depth);
+            }
+        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -143,12 +160,10 @@ impl Json {
                     if index > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    pad(out, indent + 1);
-                    item.write(out, indent + 1);
+                    newline(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                pad(out, indent);
+                newline(out, indent);
                 out.push(']');
             }
             Json::Obj(fields) => {
@@ -161,14 +176,12 @@ impl Json {
                     if index > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    pad(out, indent + 1);
+                    newline(out, inner);
                     write_string(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    value.write(out, inner);
                 }
-                out.push('\n');
-                pad(out, indent);
+                newline(out, indent);
                 out.push('}');
             }
         }
@@ -447,6 +460,9 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), value);
         // Canonical: re-serializing the parse is byte-identical.
         assert_eq!(parse(&text).unwrap().to_text(), text);
+        let line = value.to_line();
+        assert!(!line.contains('\n'), "one line: {line}");
+        assert_eq!(parse(&line).unwrap(), value);
     }
 
     #[test]

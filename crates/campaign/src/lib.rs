@@ -21,11 +21,13 @@
 //!   deterministically, because an execution is a pure function of
 //!   `(program, race set, config)` (paper §2.2).
 //! * **Checkpoint/resume** — campaign state (completed [`PairReport`]s,
-//!   quarantine decisions, the pair cursor) is written atomically to disk
-//!   after every pair; a killed campaign resumes from the checkpoint and
-//!   finishes with reports identical to an uninterrupted run.
+//!   quarantine decisions, the pair cursor) is made durable after every
+//!   pair by appending one CRC-framed record to a [`checkpoint`] journal;
+//!   a killed campaign replays the journal and finishes with reports
+//!   identical to an uninterrupted run.
 //! * **Crash safety** — every durable write goes through [`durable`]
-//!   (temp file, fsync, atomic rename, CRC-32 footer) and is instrumented
+//!   (fsynced journal appends; temp file, fsync, atomic rename and CRC-32
+//!   footer for whole documents) and is instrumented
 //!   with deterministic failpoints (the `faults` crate, compiled out of
 //!   release builds); startup runs a [`recovery`] scan that sidelines torn
 //!   files instead of trusting them; and the [`supervisor`] loop restarts
@@ -73,6 +75,8 @@ pub use checkpoint::{Checkpoint, CheckpointHeader};
 pub use recovery::{RecoveryAction, RecoveryEvent};
 pub use supervisor::{supervise, ChildExit, CrashLedger, SupervisorOptions, SupervisorOutcome};
 
+use crate::checkpoint::Record;
+use crate::durable::AppendLog;
 use crate::json::Json;
 use detector::{DetectorImpl, PredictConfig, RacePair};
 use interp::SetupError;
@@ -167,9 +171,9 @@ pub struct CampaignOptions {
     /// Phase-2 worker pool (default: sequential). With more than one
     /// worker, pairs are fuzzed concurrently — each trial still isolated by
     /// `catch_unwind` inside its worker — but results are *committed*
-    /// (report, failure artifacts, checkpoint) strictly in pair order
-    /// through a reorder buffer, so reports, artifact files, and every
-    /// intermediate checkpoint are identical to a sequential run.
+    /// (report, failure artifacts, journal record) strictly in pair order
+    /// through a reorder buffer, so reports, artifact files, and the
+    /// journal's bytes are identical to a sequential run.
     pub parallel: ParallelOptions,
     /// Crash ledger written by the [`supervisor`]; pairs listed there are
     /// quarantined with [`QuarantineReason::CrashLoop`] before any trial
@@ -323,11 +327,12 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    fn fresh(job: &CampaignJob) -> Self {
+    /// A job with no progress yet.
+    pub(crate) fn new(name: String, entry: String, program_digest: u64) -> Self {
         JobOutcome {
-            name: job.name.clone(),
-            entry: job.entry.clone(),
-            program_digest: program_digest(&job.program),
+            name,
+            entry,
+            program_digest,
             predicted: false,
             potential: Vec::new(),
             provenance: Vec::new(),
@@ -339,6 +344,10 @@ impl JobOutcome {
             error: None,
             done: false,
         }
+    }
+
+    fn fresh(job: &CampaignJob) -> Self {
+        JobOutcome::new(job.name.clone(), job.entry.clone(), program_digest(&job.program))
     }
 
     /// Pairs confirmed real by the completed trials.
@@ -559,6 +568,31 @@ struct PairRun {
     fatal: Option<String>,
 }
 
+/// Campaign state plus the journal that makes it durable. Every change
+/// goes through [`Progress::commit`], so the state is always the fold of
+/// the journal's records.
+struct Progress {
+    jobs: Vec<JobOutcome>,
+    journal: Option<AppendLog>,
+}
+
+impl Progress {
+    /// Appends `record` to the journal (when checkpointing), then applies
+    /// it to the state.
+    fn commit(&mut self, record: Record) -> Result<(), ArtifactError> {
+        if let Some(journal) = &mut self.journal {
+            let framed = durable::frame(&record.to_json().to_line());
+            journal.append(framed.as_bytes()).map_err(io_error)?;
+        }
+        record.apply(&mut self.jobs);
+        Ok(())
+    }
+}
+
+fn io_error(error: std::io::Error) -> ArtifactError {
+    ArtifactError::Io(error.to_string())
+}
+
 /// How a job's pair loop ended.
 enum PairsProgress {
     /// Every pair is committed.
@@ -600,30 +634,37 @@ impl Campaign {
             recovery::scan_artifact_dir(dir, &mut events);
         }
         let ledger = self.load_ledger(&mut events);
-        let (mut jobs, resumed) = self.restore_or_fresh(&mut events);
+        let (jobs, resumed) = self.restore_or_fresh(&mut events);
+        let mut progress = Progress {
+            journal: self.start_journal(&jobs)?,
+            jobs,
+        };
         let mut pairs_this_run = 0usize;
 
         for index in 0..self.jobs.len() {
-            if jobs[index].done {
+            if progress.jobs[index].done {
                 continue;
             }
             let job = &self.jobs[index];
 
-            if !jobs[index].predicted {
-                match guarded_predict(job, &self.options.predict, self.options.source) {
-                    Ok((potential, provenance)) => {
-                        jobs[index].potential = potential;
-                        jobs[index].provenance = provenance;
-                        jobs[index].predicted = true;
-                    }
-                    Err(message) => {
-                        jobs[index].error = Some(message);
-                        jobs[index].done = true;
-                        self.save_checkpoint(&jobs)?;
-                        continue;
-                    }
+            if !progress.jobs[index].predicted {
+                let record = match guarded_predict(job, &self.options.predict, self.options.source)
+                {
+                    Ok((potential, provenance)) => Record::Predicted {
+                        job: index,
+                        potential,
+                        provenance,
+                    },
+                    Err(message) => Record::Error {
+                        job: index,
+                        failures: Vec::new(),
+                        message,
+                    },
+                };
+                progress.commit(record)?;
+                if progress.jobs[index].done {
+                    continue;
                 }
-                self.save_checkpoint(&jobs)?;
             }
 
             // The static filter is rebuilt (not checkpointed) on resume: it
@@ -636,11 +677,11 @@ impl Campaign {
                 }
             };
 
-            let progress = if self.options.parallel.is_parallel() {
+            let outcome = if self.options.parallel.is_parallel() {
                 self.run_pairs_parallel(
                     runner,
                     index,
-                    &mut jobs,
+                    &mut progress,
                     filter.as_ref(),
                     &ledger,
                     &mut pairs_this_run,
@@ -649,41 +690,43 @@ impl Campaign {
                 self.run_pairs_sequential(
                     runner,
                     index,
-                    &mut jobs,
+                    &mut progress,
                     filter.as_ref(),
                     &ledger,
                     &mut pairs_this_run,
                 )?
             };
-            match progress {
+            match outcome {
                 PairsProgress::Finished => {
-                    if !jobs[index].done {
-                        jobs[index].done = true;
-                        self.save_checkpoint(&jobs)?;
+                    if !progress.jobs[index].done {
+                        progress.commit(Record::Done { job: index })?;
                     }
                 }
                 PairsProgress::JobStopped => {}
                 PairsProgress::Interrupted => {
-                    return Ok(CampaignReport {
-                        jobs,
-                        interrupted: true,
-                        resumed,
-                        detector: self.options.predict.detector,
-                        engine: self.options.fuzz.engine,
-                        recovery: events,
-                    });
+                    return Ok(self.report(progress.jobs, true, resumed, events));
                 }
             }
         }
 
-        Ok(CampaignReport {
+        Ok(self.report(progress.jobs, false, resumed, events))
+    }
+
+    fn report(
+        &self,
+        jobs: Vec<JobOutcome>,
+        interrupted: bool,
+        resumed: bool,
+        recovery: Vec<RecoveryEvent>,
+    ) -> CampaignReport {
+        CampaignReport {
             jobs,
-            interrupted: false,
+            interrupted,
             resumed,
             detector: self.options.predict.detector,
             engine: self.options.fuzz.engine,
-            recovery: events,
-        })
+            recovery,
+        }
     }
 
     /// Loads the crash ledger, sidelining it (and starting empty) if it is
@@ -721,30 +764,33 @@ impl Campaign {
             .then(|| EntryCache::new(self.options.snapshots))
     }
 
-    /// The pre-existing sequential pair loop: fuzz, commit, checkpoint,
-    /// advance — one pair at a time on the calling thread.
+    /// The sequential pair loop: fuzz, commit, advance — one pair at a
+    /// time on the calling thread.
     fn run_pairs_sequential(
         &self,
         runner: &(dyn TrialRunner + Sync),
         index: usize,
-        jobs: &mut [JobOutcome],
+        progress: &mut Progress,
         filter: Option<&StaticRaceFilter>,
         ledger: &CrashLedger,
         pairs_this_run: &mut usize,
     ) -> Result<PairsProgress, ArtifactError> {
         let job = &self.jobs[index];
         let entry_cache = self.entry_cache();
-        while jobs[index].next_pair < jobs[index].potential.len() {
-            let target = jobs[index].potential[jobs[index].next_pair];
-            if let Some(crashes) = ledger.lookup(&jobs[index].name, jobs[index].next_pair) {
-                self.commit_crashloop(&mut jobs[index], target, crashes);
-                self.save_checkpoint(jobs)?;
+        loop {
+            let state = &progress.jobs[index];
+            let Some(&target) = state.potential.get(state.next_pair) else {
+                return Ok(PairsProgress::Finished);
+            };
+            if let Some(crashes) = ledger.lookup(&state.name, state.next_pair) {
+                let reason = QuarantineReason::CrashLoop(crashes);
+                progress.commit(self.skipped(index, target, reason))?;
                 continue;
             }
             if self.options.static_filter == StaticFilterMode::Prune {
                 if let Some(reason) = filter.and_then(|f| f.refute(&job.program, &target)) {
-                    self.commit_pruned(&mut jobs[index], target, reason);
-                    self.save_checkpoint(jobs)?;
+                    let reason = QuarantineReason::StaticallyPruned(reason);
+                    progress.commit(self.skipped(index, target, reason))?;
                     continue;
                 }
             }
@@ -756,51 +802,45 @@ impl Campaign {
                 &self.options,
                 entry_cache.as_ref(),
             );
-            let fatal = self.commit_pair(job, &mut jobs[index], run)?;
-            self.audit_pair(job, &mut jobs[index], filter, target);
-            if let Some(message) = fatal {
-                jobs[index].error = Some(message);
-                jobs[index].done = true;
-                self.save_checkpoint(jobs)?;
+            let record = self.pair_record(index, &progress.jobs[index], filter, target, run)?;
+            progress.commit(record)?;
+            if progress.jobs[index].done {
                 return Ok(PairsProgress::JobStopped);
             }
-            jobs[index].next_pair += 1;
-            self.save_checkpoint(jobs)?;
             *pairs_this_run += 1;
             if Some(*pairs_this_run) == self.options.stop_after_pairs {
                 return Ok(PairsProgress::Interrupted);
             }
         }
-        Ok(PairsProgress::Finished)
     }
 
     /// The parallel pair loop: workers steal pair indices off an atomic
     /// cursor and fuzz them concurrently (every trial still isolated by
     /// `catch_unwind` inside its worker); the calling thread commits
     /// finished pairs strictly in pair order through a reorder buffer, so
-    /// reports, artifact files, and every intermediate checkpoint are
-    /// byte-identical to [`Campaign::run_pairs_sequential`].
+    /// reports, artifact files, and the journal's bytes are identical to
+    /// [`Campaign::run_pairs_sequential`].
     fn run_pairs_parallel(
         &self,
         runner: &(dyn TrialRunner + Sync),
         index: usize,
-        jobs: &mut [JobOutcome],
+        progress: &mut Progress,
         filter: Option<&StaticRaceFilter>,
         ledger: &CrashLedger,
         pairs_this_run: &mut usize,
     ) -> Result<PairsProgress, ArtifactError> {
         let job = &self.jobs[index];
-        let start = jobs[index].next_pair;
-        let total = jobs[index].potential.len();
+        let start = progress.jobs[index].next_pair;
+        let total = progress.jobs[index].potential.len();
         if start >= total {
             return Ok(PairsProgress::Finished);
         }
-        let targets: Vec<RacePair> = jobs[index].potential[start..].to_vec();
+        let targets: Vec<RacePair> = progress.jobs[index].potential[start..].to_vec();
         // Prune and crash-ledger decisions are made up front on this
         // thread — both are deterministic and cheap — so workers do pure
         // trial work.
         let crash_looped: Vec<Option<u32>> = (0..targets.len())
-            .map(|offset| ledger.lookup(&jobs[index].name, start + offset))
+            .map(|offset| ledger.lookup(&progress.jobs[index].name, start + offset))
             .collect();
         let refuted: Vec<Option<PruneReason>> = targets
             .iter()
@@ -882,13 +922,13 @@ impl Campaign {
             for offset in 0..targets.len() {
                 let target = targets[offset];
                 if let Some(crashes) = crash_looped[offset] {
-                    self.commit_crashloop(&mut jobs[index], target, crashes);
-                    self.save_checkpoint(jobs)?;
+                    let reason = QuarantineReason::CrashLoop(crashes);
+                    progress.commit(self.skipped(index, target, reason))?;
                     continue;
                 }
                 if let Some(reason) = refuted[offset] {
-                    self.commit_pruned(&mut jobs[index], target, reason);
-                    self.save_checkpoint(jobs)?;
+                    let reason = QuarantineReason::StaticallyPruned(reason);
+                    progress.commit(self.skipped(index, target, reason))?;
                     continue;
                 }
                 let run = loop {
@@ -929,17 +969,12 @@ impl Campaign {
                         }
                     }
                 };
-                let fatal = self.commit_pair(job, &mut jobs[index], run)?;
-                self.audit_pair(job, &mut jobs[index], filter, target);
-                if let Some(message) = fatal {
+                let record = self.pair_record(index, &progress.jobs[index], filter, target, run)?;
+                progress.commit(record)?;
+                if progress.jobs[index].done {
                     stop.store(true, Ordering::Relaxed);
-                    jobs[index].error = Some(message);
-                    jobs[index].done = true;
-                    self.save_checkpoint(jobs)?;
                     return Ok(PairsProgress::JobStopped);
                 }
-                jobs[index].next_pair += 1;
-                self.save_checkpoint(jobs)?;
                 *pairs_this_run += 1;
                 if Some(*pairs_this_run) == self.options.stop_after_pairs {
                     // Workers stop stealing; whatever they finish after this
@@ -953,83 +988,68 @@ impl Campaign {
         })
     }
 
-    /// Commits a statically refuted pair: an empty report keeps `reports` a
-    /// parallel prefix of `potential`, and no trials are spent.
-    fn commit_pruned(&self, state: &mut JobOutcome, target: RacePair, reason: PruneReason) {
-        state.reports.push(PairReport::empty(target));
-        state.quarantined.push(QuarantinedPair {
-            pair: target,
-            seed: self.options.base_seed,
-            attempts: 0,
-            reason: QuarantineReason::StaticallyPruned(reason),
-        });
-        state.next_pair += 1;
+    /// The record for a pair skipped without trials — statically refuted,
+    /// or crash-looping per the ledger: an empty report keeps `reports` a
+    /// parallel prefix of `potential`.
+    fn skipped(&self, index: usize, target: RacePair, reason: QuarantineReason) -> Record {
+        Record::Pair {
+            job: index,
+            report: Box::new(PairReport::empty(target)),
+            quarantine: Some(QuarantinedPair {
+                pair: target,
+                seed: self.options.base_seed,
+                attempts: 0,
+                reason,
+            }),
+            failures: Vec::new(),
+            soundness_bug: None,
+        }
     }
 
-    /// Commits a pair the crash ledger ordered skipped: same shape as
-    /// [`Campaign::commit_pruned`], different reason.
-    fn commit_crashloop(&self, state: &mut JobOutcome, target: RacePair, crashes: u32) {
-        state.reports.push(PairReport::empty(target));
-        state.quarantined.push(QuarantinedPair {
-            pair: target,
-            seed: self.options.base_seed,
-            attempts: 0,
-            reason: QuarantineReason::CrashLoop(crashes),
-        });
-        state.next_pair += 1;
-    }
-
-    /// Commits one pair's [`PairRun`] to job state: artifacts and failure
-    /// records first (in seed order), then the report and any quarantine.
-    /// Returns the job-fatal message, if the pair hit a setup error.
-    fn commit_pair(
+    /// Turns one pair's [`PairRun`] into its record, persisting its failure
+    /// artifacts first (in seed order). A setup error abandons the pair
+    /// without its partial report and ends the job; otherwise, under
+    /// [`StaticFilterMode::Audit`], a confirmed race the static filter
+    /// would have refuted is recorded as a soundness bug.
+    fn pair_record(
         &self,
-        job: &CampaignJob,
-        state: &mut JobOutcome,
-        run: PairRun,
-    ) -> Result<Option<String>, ArtifactError> {
-        for failure in run.failures {
-            self.persist_artifact(job, state, &failure)?;
-            state.failures.push(failure);
-        }
-        if run.fatal.is_some() {
-            // Match the historical sequential behavior: a setup error
-            // abandons the pair without pushing its partial report.
-            return Ok(run.fatal);
-        }
-        state.reports.push(run.report);
-        if let Some(entry) = run.quarantine {
-            state.quarantined.push(entry);
-        }
-        Ok(None)
-    }
-
-    /// [`StaticFilterMode::Audit`]: record a soundness bug if a pair just
-    /// confirmed by fuzzing is one the static filter would have refuted.
-    fn audit_pair(
-        &self,
-        job: &CampaignJob,
-        state: &mut JobOutcome,
+        index: usize,
+        state: &JobOutcome,
         filter: Option<&StaticRaceFilter>,
         target: RacePair,
-    ) {
-        if self.options.static_filter != StaticFilterMode::Audit {
-            return;
+        run: PairRun,
+    ) -> Result<Record, ArtifactError> {
+        let job = &self.jobs[index];
+        for failure in &run.failures {
+            self.persist_artifact(job, state, failure)?;
         }
-        let confirmed = state
-            .reports
-            .last()
-            .is_some_and(|report| report.target == target && report.is_real());
-        if !confirmed {
-            return;
+        if let Some(message) = run.fatal {
+            return Ok(Record::Error {
+                job: index,
+                failures: run.failures,
+                message,
+            });
         }
-        if let Some(reason) = filter.and_then(|f| f.refute(&job.program, &target)) {
-            state.soundness_bugs.push(format!(
+        let audited = self.options.static_filter == StaticFilterMode::Audit;
+        let refuted = if audited && run.report.is_real() {
+            filter.and_then(|f| f.refute(&job.program, &target))
+        } else {
+            None
+        };
+        let soundness_bug = refuted.map(|reason| {
+            format!(
                 "pair {} was confirmed by fuzzing but statically refuted as {}",
                 target.describe(&job.program),
                 reason
-            ));
-        }
+            )
+        });
+        Ok(Record::Pair {
+            job: index,
+            report: Box::new(run.report),
+            quarantine: run.quarantine,
+            failures: run.failures,
+            soundness_bug,
+        })
     }
 
     fn persist_artifact(
@@ -1082,12 +1102,7 @@ impl Campaign {
         let Some(checkpoint) = recovery::recover_checkpoint(path, events) else {
             return (fresh, false);
         };
-        if checkpoint.header
-            != (CheckpointHeader {
-                trials_per_pair: self.options.trials_per_pair,
-                base_seed: self.options.base_seed,
-            })
-        {
+        if checkpoint.header != self.checkpoint_header() {
             return (fresh, false);
         }
         // Adopt saved progress job-by-job where name and program digest
@@ -1112,24 +1127,31 @@ impl Campaign {
         (jobs, resumed_any)
     }
 
-    fn save_checkpoint(&self, jobs: &[JobOutcome]) -> Result<(), ArtifactError> {
+    /// Starts this run's journal: atomically rewrites the checkpoint file
+    /// as a header for this campaign plus the state it adopted, then opens
+    /// it for appending. The rewrite is what guarantees a run never
+    /// appends after a torn tail or under another campaign's header.
+    fn start_journal(&self, jobs: &[JobOutcome]) -> Result<Option<AppendLog>, ArtifactError> {
         let Some(path) = &self.options.checkpoint_path else {
-            return Ok(());
+            return Ok(None);
         };
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|error| ArtifactError::Io(error.to_string()))?;
+                std::fs::create_dir_all(parent).map_err(io_error)?;
             }
         }
-        Checkpoint {
-            header: CheckpointHeader {
-                trials_per_pair: self.options.trials_per_pair,
-                base_seed: self.options.base_seed,
-            },
-            jobs: jobs.to_vec(),
+        let base = checkpoint::journal_base(&self.checkpoint_header(), jobs);
+        durable::write_durable(path, "campaign.checkpoint", base.as_bytes()).map_err(io_error)?;
+        AppendLog::open(path, "campaign.checkpoint")
+            .map(Some)
+            .map_err(io_error)
+    }
+
+    fn checkpoint_header(&self) -> CheckpointHeader {
+        CheckpointHeader {
+            trials_per_pair: self.options.trials_per_pair,
+            base_seed: self.options.base_seed,
         }
-        .save(path)
     }
 
     /// Deterministically replays a failure artifact against this campaign's

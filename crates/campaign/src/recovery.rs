@@ -1,16 +1,21 @@
 //! Startup recovery scan: sideline what a crash tore, sweep what it left.
 //!
 //! Every campaign start walks its durable state *before* trusting any of
-//! it. Three things can be on disk after a kill:
+//! it. Four things can be on disk after a kill:
 //!
 //! 1. A stale `*.tmp` staging file — the crash hit between temp-file write
 //!    and rename. The published file is intact; the temp file is garbage
 //!    and removed.
-//! 2. A torn or corrupt published file — short write plus crash, or disk
-//!    corruption. The CRC check ([`crate::durable::unseal`]) catches it;
-//!    the file is renamed to `<name>.corrupt-N` (never deleted — it is
-//!    evidence) and the campaign redoes the lost pairs deterministically.
-//! 3. Healthy files, which load normally.
+//! 2. A checkpoint journal with a torn tail — the crash (or a short write)
+//!    cut the last record. Replay adopts every record before the cut; the
+//!    whole file is *copied* to `<name>.corrupt-N` as evidence, and the
+//!    campaign's start-of-run rewrite replaces it with a clean journal.
+//! 3. A torn or corrupt file with nothing to adopt — a journal whose
+//!    header does not verify, a whole-document checkpoint or artifact
+//!    whose CRC footer fails. The file is renamed to `<name>.corrupt-N`
+//!    (never deleted — it is evidence). In every torn case the campaign
+//!    redoes the lost pairs deterministically.
+//! 4. Healthy files, which load normally.
 //!
 //! Nothing in this module panics on bad input: a corrupt file is an
 //! *expected* input after a crash, and the whole point of the campaign's
@@ -18,7 +23,7 @@
 //! run.
 
 use crate::artifact::FailureArtifact;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{self, Checkpoint};
 use crate::durable;
 use crate::ArtifactError;
 use std::path::{Path, PathBuf};
@@ -26,7 +31,8 @@ use std::path::{Path, PathBuf};
 /// What the recovery scan did to one file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryAction {
-    /// A torn/corrupt file was renamed to `<name>.corrupt-N`.
+    /// A torn/corrupt file was moved (or, for a journal whose valid
+    /// prefix was adopted, copied) to `<name>.corrupt-N`.
     SidelinedCorrupt,
     /// A stale `*.tmp` staging file was removed.
     RemovedStaleTmp,
@@ -57,30 +63,40 @@ impl std::fmt::Display for RecoveryEvent {
     }
 }
 
+/// The first `<name>.corrupt-N` next to `path` that does not exist yet.
+fn free_corrupt_path(path: &Path) -> Option<PathBuf> {
+    (0..1000u32)
+        .map(|n| {
+            let mut name = path
+                .file_name()
+                .map(|name| name.to_os_string())
+                .unwrap_or_default();
+            name.push(format!(".corrupt-{n}"));
+            path.with_file_name(name)
+        })
+        .find(|target| !target.exists())
+}
+
 /// Renames `path` to the first free `<name>.corrupt-N`, preserving the
 /// corrupt bytes for post-mortem instead of deleting them.
 ///
 /// # Errors
 ///
-/// Returns the rename error if every attempt fails.
+/// Returns the rename error, or an error if every name is taken.
 pub fn sideline(path: &Path) -> std::io::Result<PathBuf> {
-    let mut error = None;
-    for n in 0..1000u32 {
-        let mut name = path
-            .file_name()
-            .map(|name| name.to_os_string())
-            .unwrap_or_default();
-        name.push(format!(".corrupt-{n}"));
-        let target = path.with_file_name(name);
-        if target.exists() {
-            continue;
-        }
-        match std::fs::rename(path, &target) {
-            Ok(()) => return Ok(target),
-            Err(e) => error = Some(e),
-        }
-    }
-    Err(error.unwrap_or_else(|| std::io::Error::other("no free .corrupt-N name")))
+    let target =
+        free_corrupt_path(path).ok_or_else(|| std::io::Error::other("no free .corrupt-N name"))?;
+    std::fs::rename(path, &target)?;
+    Ok(target)
+}
+
+/// Copies `path` to the first free `<name>.corrupt-N`, leaving the
+/// original in place (its valid prefix is still being adopted).
+fn preserve(path: &Path) -> std::io::Result<PathBuf> {
+    let target =
+        free_corrupt_path(path).ok_or_else(|| std::io::Error::other("no free .corrupt-N name"))?;
+    std::fs::copy(path, &target)?;
+    Ok(target)
 }
 
 /// Removes the staging temp file for `path`, if a crash left one behind.
@@ -95,15 +111,29 @@ pub fn sweep_tmp(path: &Path, events: &mut Vec<RecoveryEvent>) {
     }
 }
 
-/// Loads the checkpoint at `path`, sidelining it (and returning `None`) if
-/// it is torn or corrupt. A missing file is simply `None` with no event.
+/// Loads the checkpoint at `path`: a journal's longest valid prefix, or a
+/// whole-document checkpoint. A journal with a torn tail is copied to
+/// `<name>.corrupt-N` and its prefix adopted; a file with nothing to adopt
+/// is sidelined (and `None` returned). A missing file is simply `None`
+/// with no event.
 pub fn recover_checkpoint(path: &Path, events: &mut Vec<RecoveryEvent>) -> Option<Checkpoint> {
     sweep_tmp(path, events);
     if !path.exists() {
         return None;
     }
-    match Checkpoint::load(path) {
-        Ok(checkpoint) => Some(checkpoint),
+    match checkpoint::replay(path) {
+        Ok(replay) => {
+            if let Some(reason) = replay.torn {
+                if preserve(path).is_ok() {
+                    events.push(RecoveryEvent {
+                        path: path.to_owned(),
+                        action: RecoveryAction::SidelinedCorrupt,
+                        reason,
+                    });
+                }
+            }
+            Some(replay.checkpoint)
+        }
         Err(error) => {
             if sideline(path).is_ok() {
                 events.push(RecoveryEvent {
@@ -201,6 +231,33 @@ mod tests {
         let mut events = Vec::new();
         assert!(recover_checkpoint(&path, &mut events).is_none());
         assert!(path.with_file_name("state.json.corrupt-1").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_journal_tail_is_copied_and_its_prefix_adopted() {
+        use crate::checkpoint::{journal_base, CheckpointHeader};
+        use crate::JobOutcome;
+
+        let dir = scratch("torn-journal");
+        let path = dir.join("state.json");
+        let header = CheckpointHeader {
+            trials_per_pair: 5,
+            base_seed: 1,
+        };
+        let jobs = [JobOutcome::new("job".to_owned(), "main".to_owned(), 7)];
+        let mut bytes = journal_base(&header, &jobs).into_bytes();
+        bytes.extend_from_slice(b"0000004c c8aa504a {\"record\":\"pred");
+        std::fs::write(&path, &bytes).unwrap();
+        let mut events = Vec::new();
+        let checkpoint = recover_checkpoint(&path, &mut events).expect("the header is adopted");
+        assert_eq!(checkpoint.header, header);
+        assert_eq!(checkpoint.jobs[0].name, "job");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].action, RecoveryAction::SidelinedCorrupt);
+        // The torn file stays in place for the rewrite; a copy is evidence.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        assert_eq!(std::fs::read(path.with_file_name("state.json.corrupt-0")).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

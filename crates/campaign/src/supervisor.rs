@@ -250,6 +250,10 @@ pub struct SupervisorOutcome {
 /// crashes: `(job name, next_pair, done)` for every job.
 type Cursor = Vec<(String, usize, bool)>;
 
+/// The cursor of the checkpoint at `path`, read through the same replay a
+/// resuming campaign uses: a journal's longest valid prefix (so a torn
+/// tail reads as the progress the next run will adopt), or a
+/// whole-document checkpoint.
 fn read_cursor(path: &Path) -> Option<Cursor> {
     let checkpoint = Checkpoint::load(path).ok()?;
     Some(
@@ -529,6 +533,50 @@ mod tests {
         .unwrap();
         assert_eq!(outcome.quarantined, 0);
         assert!(!opts.ledger_path.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cursor_reads_a_journal_through_replay() {
+        use crate::checkpoint::{journal_base, CheckpointHeader, Record};
+        use crate::JobOutcome;
+        use detector::RacePair;
+        use racefuzzer::{PairReport, Provenance};
+
+        let dir = scratch("journal-cursor");
+        let path = dir.join("checkpoint.json");
+        let pairs = vec![
+            RacePair::new(cil::flat::InstrId(0), cil::flat::InstrId(1)),
+            RacePair::new(cil::flat::InstrId(2), cil::flat::InstrId(3)),
+        ];
+        let header = CheckpointHeader {
+            trials_per_pair: 5,
+            base_seed: 1,
+        };
+        let jobs = [JobOutcome::new("moving".to_owned(), "main".to_owned(), 1)];
+        let records = [
+            Record::Predicted {
+                job: 0,
+                potential: pairs.clone(),
+                provenance: vec![Provenance::Dynamic; 2],
+            },
+            Record::Pair {
+                job: 0,
+                report: Box::new(PairReport::empty(pairs[0])),
+                quarantine: None,
+                failures: Vec::new(),
+                soundness_bug: None,
+            },
+        ];
+        let mut text = journal_base(&header, &jobs);
+        for record in &records {
+            text.push_str(&durable::frame(&record.to_json().to_line()));
+        }
+        std::fs::write(&path, &text).unwrap();
+        assert_eq!(read_cursor(&path), Some(vec![("moving".to_owned(), 1, false)]));
+        // A torn tail reads as the prefix before it.
+        std::fs::write(&path, &text[..text.len() - 3]).unwrap();
+        assert_eq!(read_cursor(&path), Some(vec![("moving".to_owned(), 0, false)]));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,17 @@
-//! Crash-safety satellites: corrupt-artifact handling, v2 → v3 checkpoint
-//! migration, and the heap-cell budget as a reported verdict.
+//! Crash-safety satellites: corrupt-artifact handling, whole-document
+//! (v2, v3) checkpoint migration to the journal, the journal's torn-tail
+//! rule at every byte offset, and the heap-cell budget as a reported
+//! verdict.
 
+use campaign::checkpoint::{self, JOURNAL_FORMAT};
 use campaign::{
-    ArtifactError, Campaign, CampaignJob, CampaignOptions, FailureArtifact, FailureKind,
-    QuarantineReason,
+    program_digest, ArtifactError, Campaign, CampaignJob, CampaignOptions, FailureArtifact,
+    FailureKind, FuzzRunner, QuarantineReason, TrialRunner,
 };
-use racefuzzer::FuzzConfig;
-use std::path::PathBuf;
+use detector::RacePair;
+use interp::SetupError;
+use racefuzzer::{FuzzConfig, FuzzOutcome};
+use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("crash-safety-{tag}-{}", std::process::id()));
@@ -15,8 +20,10 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The program the `checkpoint_v2.json` fixture was recorded on (digest
-/// `94f8464ec7dd588d`) — byte-for-byte the fixture generator's source.
+/// The program the `checkpoint_v2.json` and `checkpoint_v3.json` fixtures
+/// were recorded on (digest `94f8464ec7dd588d`) — byte-for-byte the
+/// fixture generator's source. Both fixtures stop after the first of the
+/// program's two pairs.
 fn migration_program() -> cil::Program {
     cil::compile(
         r#"
@@ -169,12 +176,20 @@ fn artifact_from_a_different_program_is_a_digest_mismatch() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn v2_checkpoint_resumes_under_format_version_3() {
-    let dir = temp_dir("migrate");
+/// The first line of a journal: its framed header record.
+fn journal_header(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    text.lines().next().unwrap_or_default().to_owned()
+}
+
+/// Resumes the migration campaign from a whole-document fixture and checks
+/// the result against a run that never saw it; the file must then be a
+/// journal.
+fn resume_from_fixture(tag: &str, fixture: &str) {
+    let dir = temp_dir(tag);
     let checkpoint = dir.join("checkpoint.json");
     std::fs::copy(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/checkpoint_v2.json"),
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture),
         &checkpoint,
     )
     .unwrap();
@@ -188,7 +203,7 @@ fn v2_checkpoint_resumes_under_format_version_3() {
     };
     let job = || vec![CampaignJob::new("migrate", migration_program(), "main")];
     let resumed = Campaign::new(job(), options.clone()).run().unwrap();
-    assert!(resumed.resumed, "the v2 checkpoint must be adopted");
+    assert!(resumed.resumed, "the {fixture} checkpoint must be adopted");
     assert!(resumed.completed());
 
     // Same final report as a run that never saw the old checkpoint.
@@ -203,10 +218,159 @@ fn v2_checkpoint_resumes_under_format_version_3() {
         "migrated resume must reproduce the uninterrupted report"
     );
 
-    // The checkpoint was rewritten in the current sealed format.
-    let text = std::fs::read_to_string(&checkpoint).unwrap();
-    assert!(text.contains("\"format_version\": 3"));
-    assert!(text.contains("#crc32="), "v3 checkpoints carry a CRC footer");
+    // The checkpoint was rewritten as a journal, which replays to the
+    // finished state.
+    let header = journal_header(&checkpoint);
+    assert!(
+        header.contains(&format!("\"format\":\"{JOURNAL_FORMAT}\"")),
+        "journal header expected, got {header}"
+    );
+    let replay = checkpoint::replay(&checkpoint).unwrap();
+    assert!(replay.torn.is_none());
+    assert!(replay.checkpoint.jobs[0].done);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn v2_checkpoint_resumes_under_format_version_3() {
+    resume_from_fixture("migrate-v2", "checkpoint_v2.json");
+}
+
+#[test]
+fn v3_checkpoint_resumes_into_a_journal() {
+    resume_from_fixture("migrate-v3", "checkpoint_v3.json");
+}
+
+/// Delegates to [`FuzzRunner`], except that every trial of one pair of one
+/// program panics, so that pair is quarantined with recorded failures.
+struct QuarantineOne {
+    digest: u64,
+    pair: RacePair,
+}
+
+impl TrialRunner for QuarantineOne {
+    fn run_trial(
+        &self,
+        program: &cil::Program,
+        entry: &str,
+        pair: RacePair,
+        config: &FuzzConfig,
+    ) -> Result<FuzzOutcome, SetupError> {
+        assert!(
+            pair != self.pair || program_digest(program) != self.digest,
+            "injected fault: this pair always crashes"
+        );
+        FuzzRunner.run_trial(program, entry, pair, config)
+    }
+}
+
+/// The byte offsets at which each journal line (header, then one record
+/// per line) ends.
+fn record_ends(bytes: &[u8]) -> Vec<usize> {
+    bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, &byte)| byte == b'\n')
+        .map(|(at, _)| at + 1)
+        .collect()
+}
+
+fn corrupt_copies(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|entry| entry.path())
+        .filter(|path| path.to_string_lossy().contains(".corrupt-"))
+        .collect();
+    paths.sort();
+    paths
+}
+
+#[test]
+fn journal_torn_at_every_byte_resumes_to_the_uninterrupted_report() {
+    let dir = temp_dir("torn-every-byte");
+    let jobs = || {
+        vec![
+            CampaignJob::new("figure1", workloads::figure1(), "main"),
+            CampaignJob::new("figure2", workloads::figure2(3), "main"),
+        ]
+    };
+    let options = |checkpoint: Option<PathBuf>| CampaignOptions {
+        trials_per_pair: 2,
+        max_attempts: 2,
+        checkpoint_path: checkpoint,
+        ..CampaignOptions::default()
+    };
+    let figure2 = workloads::figure2(3);
+    let probe = Campaign::new(jobs(), options(None)).run().unwrap();
+    let runner = QuarantineOne {
+        digest: program_digest(&figure2),
+        pair: probe.jobs[1].potential[0],
+    };
+
+    // The uninterrupted run whose journal gets torn.
+    let full_path = dir.join("full.json");
+    let reference = Campaign::new(jobs(), options(Some(full_path.clone())))
+        .run_with(&runner)
+        .unwrap();
+    assert!(reference.completed());
+    assert_eq!(reference.jobs[1].quarantined.len(), 1, "one quarantined pair");
+    assert!(!reference.jobs[1].failures.is_empty());
+    let expected = reference.canonical_json();
+    let bytes = std::fs::read(&full_path).unwrap();
+    let ends = record_ends(&bytes);
+    assert_eq!(*ends.last().unwrap(), bytes.len(), "the journal ends on a record");
+    let header_end = ends[0];
+    let full = checkpoint::replay_bytes(&bytes).unwrap();
+    assert_eq!(full.records, ends.len() - 1);
+    assert_eq!(
+        format!("{:?}", full.checkpoint.jobs),
+        format!("{:?}", reference.jobs),
+        "the journal replays to the live state"
+    );
+
+    let work = dir.join("cut");
+    for cut in 0..=bytes.len() {
+        let torn = &bytes[..cut];
+        // Load adopts exactly the records completed before the cut.
+        let complete = ends.iter().filter(|&&end| end <= cut).count();
+        let at_boundary = cut == 0 || ends.contains(&cut);
+        match checkpoint::replay_bytes(torn) {
+            Ok(replay) => {
+                assert!(cut >= header_end, "cut {cut}: a torn header must not load");
+                assert_eq!(replay.records, complete - 1, "cut {cut}");
+                assert_eq!(replay.torn.is_none(), at_boundary, "cut {cut}");
+                let prefix = checkpoint::replay_bytes(&bytes[..ends[complete - 1]]).unwrap();
+                assert_eq!(
+                    format!("{:?}", replay.checkpoint.jobs),
+                    format!("{:?}", prefix.checkpoint.jobs),
+                    "cut {cut}"
+                );
+            }
+            Err(_) => assert!(cut < header_end, "cut {cut}: a valid header must load"),
+        }
+
+        // A resumed run reproduces the uninterrupted report byte for byte.
+        std::fs::remove_dir_all(&work).ok();
+        std::fs::create_dir_all(&work).unwrap();
+        let path = work.join("checkpoint.json");
+        std::fs::write(&path, torn).unwrap();
+        let resumed = Campaign::new(jobs(), options(Some(path.clone())))
+            .run_with(&runner)
+            .unwrap();
+        assert_eq!(resumed.canonical_json(), expected, "cut {cut}");
+
+        // The torn bytes survive as evidence; a clean cut leaves none.
+        let copies = corrupt_copies(&work);
+        if cut >= header_end && at_boundary {
+            assert!(copies.is_empty(), "cut {cut}: {copies:?}");
+        } else {
+            assert_eq!(copies.len(), 1, "cut {cut}");
+            assert_eq!(std::fs::read(&copies[0]).unwrap(), torn, "cut {cut}");
+        }
+        let healed = checkpoint::replay(&path).unwrap();
+        assert!(healed.torn.is_none(), "cut {cut}: the resumed run rewrote a clean journal");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

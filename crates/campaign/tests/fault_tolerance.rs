@@ -364,26 +364,54 @@ fn parallel_campaign_matches_sequential_and_survives_interruption() {
     assert_eq!(parallel.failure_count(), reference.failure_count());
     assert_eq!(parallel.quarantine_count(), reference.quarantine_count());
 
-    // Kill a parallel campaign after every committed pair; each resumed
-    // invocation picks up from the checkpoint with 4 workers. Uncommitted
-    // worker results are discarded at interruption and redone — the final
-    // reports must still match the sequential reference byte for byte.
-    let mut resumed_any = false;
-    let final_report = loop {
+    // The journal is committed in pair order on the calling thread, so a
+    // 1-worker and a 4-worker run leave byte-identical journals.
+    let journal_of = |options: &CampaignOptions, name: &str| {
+        let path = dir.join(name);
         let options = CampaignOptions {
-            checkpoint_path: Some(checkpoint.clone()),
-            stop_after_pairs: Some(1),
-            ..parallel_options.clone()
+            checkpoint_path: Some(path.clone()),
+            ..options.clone()
         };
-        let report = Campaign::new(jobs(), options).run().unwrap();
-        resumed_any |= report.resumed;
-        if !report.interrupted {
-            break report;
-        }
+        assert!(Campaign::new(jobs(), options).run().unwrap().completed());
+        std::fs::read(path).unwrap()
     };
-    assert!(resumed_any, "later invocations must resume from disk");
-    assert!(final_report.completed());
+    let sequential_journal = journal_of(&base_options, "sequential.json");
+    assert!(
+        journal_of(&parallel_options, "parallel.json") == sequential_journal,
+        "1-worker and 4-worker journals differ"
+    );
+
+    // Kill a campaign after every committed pair; each resumed invocation
+    // picks up from the checkpoint. With 4 workers, uncommitted worker
+    // results are discarded at interruption and redone — the final
+    // reports must still match the sequential reference byte for byte,
+    // and the final journal must match the 1-worker run's.
+    let interrupted_run = |options: &CampaignOptions| {
+        std::fs::remove_file(&checkpoint).ok();
+        let mut resumed_any = false;
+        let final_report = loop {
+            let options = CampaignOptions {
+                checkpoint_path: Some(checkpoint.clone()),
+                stop_after_pairs: Some(1),
+                ..options.clone()
+            };
+            let report = Campaign::new(jobs(), options).run().unwrap();
+            resumed_any |= report.resumed;
+            if !report.interrupted {
+                break report;
+            }
+        };
+        assert!(resumed_any, "later invocations must resume from disk");
+        assert!(final_report.completed());
+        (final_report, std::fs::read(&checkpoint).unwrap())
+    };
+    let (final_report, parallel_journal) = interrupted_run(&parallel_options);
     assert_eq!(render_reports(&final_report), render_reports(&reference));
+    let (_, sequential_journal) = interrupted_run(&base_options);
+    assert!(
+        parallel_journal == sequential_journal,
+        "interrupted 1-worker and 4-worker journals differ"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -15,6 +15,10 @@
 //!   artifact, then an abort kills the process before the next save can
 //!   replace it. Recovery must sideline the torn file and redo the lost
 //!   work deterministically.
+//! * **mid-campaign torn sweep** — a short write tears a journal record
+//!   well past the header, then an abort kills the process. Recovery must
+//!   adopt the records before the tear, keep the torn journal as
+//!   `*.corrupt-N`, and redo the rest.
 //! * **error sweep** — injected I/O errors on every site; the durable
 //!   writer's retry absorbs them and the run completes cleanly with no
 //!   supervisor involvement.
@@ -217,6 +221,40 @@ fn torture_config(workers: usize) -> usize {
         "[{label}] torn sweep: recovered report differs from baseline"
     );
 
+    // Mid-campaign torn sweep, on a fresh directory so the tear lands in
+    // a record far from the header: checkpoint write 1 is the start-of-run
+    // journal rewrite, so write 9 is the 8th committed record.
+    let mid_dir = scratch(&format!("{label}-mid-torn"));
+    let mid_log = mid_dir.join("faults.log");
+    let mid_schedule = Schedule::new(vec![
+        plan("campaign.checkpoint.write", 9, FaultAction::ShortWrite(40)),
+        plan("campaign.checkpoint.write", 10, FaultAction::Abort),
+    ]);
+    scheduled += mid_schedule.plans().len();
+    let (mid_crashes, _, recovered) = supervised_sweep(&mid_dir, workers, &mid_log, |attempt| {
+        (attempt == 1).then(|| mid_schedule.clone())
+    });
+    assert_eq!(mid_crashes, 1, "[{label}] mid-campaign torn sweep crashes once");
+    let fired = std::fs::read_to_string(&mid_log).unwrap_or_default();
+    assert!(
+        fired.contains("campaign.checkpoint.write@9=short:40"),
+        "[{label}] the mid-campaign tear must fire: {fired}"
+    );
+    let evidence = std::fs::read_dir(&mid_dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .filter(|entry| {
+            let name = entry.file_name();
+            name.to_string_lossy().starts_with("checkpoint.json.corrupt-")
+        })
+        .count();
+    assert_eq!(evidence, 1, "[{label}] the torn journal is kept as evidence");
+    assert_eq!(
+        recovered,
+        expected,
+        "[{label}] mid-campaign torn sweep: recovered report differs from baseline"
+    );
+
     // Error sweep: injected I/O errors; the one-retry durable writer
     // self-heals, so each run completes cleanly with no supervisor. One
     // stage (write/sync/rename) per run, because the stages of a single
@@ -266,7 +304,7 @@ fn torture_config(workers: usize) -> usize {
         "each kill-sweep crash corresponds to a fired abort"
     );
 
-    for dir in [base_dir, kill_dir, torn_dir, err_dir] {
+    for dir in [base_dir, kill_dir, torn_dir, mid_dir, err_dir] {
         std::fs::remove_dir_all(dir).ok();
     }
     scheduled
