@@ -4,7 +4,8 @@
 //! (scheduling, race sets, snapshots): a single-threaded padded loop is
 //! run to completion under
 //!
-//! * `tree_walk` — the original AST-walking `exec_instr`,
+//! * `tree_walk` — the original AST-walking `exec_instr`, on the
+//!   program's `tree_walked` copy,
 //! * `bytecode` — the register-bytecode VM with superinstruction fusion
 //!   and inline field caches (the default engine),
 //! * `bytecode_unfused` — the same VM on a [`CodeImage::compile_unfused`]
@@ -20,7 +21,7 @@
 
 use cil::bytecode::CodeImage;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use interp::{ExecEngine, Execution, NullObserver, StepResult, ThreadId};
+use interp::{Execution, NullObserver, StepResult, ThreadId};
 
 /// Pure-local arithmetic: every statement in the loop is a fusible
 /// padded-loop shape.
@@ -77,14 +78,14 @@ fn bench_dispatch(c: &mut Criterion) {
         let program = cil::compile(source).expect("bench program compiles");
         let unfused = CodeImage::compile_unfused(&program);
         let fused = program.bytecode();
+        let tree_walked = program.tree_walked();
         assert!(
             fused.fused_count() > 0 && unfused.fused_count() == 0,
             "fusion knob must separate the images"
         );
         group.bench_function(BenchmarkId::new("tree_walk", shape), |b| {
             b.iter(|| {
-                let mut exec = Execution::new(&program, "main").expect("entry exists");
-                exec.set_engine(ExecEngine::TreeWalk);
+                let mut exec = Execution::new(&tree_walked, "main").expect("entry exists");
                 run_to_exit(&mut exec);
                 black_box(exec.steps())
             })

@@ -5,9 +5,9 @@
 //! dispatch cost is the campaign's unit economics. This harness runs
 //! complete Phase-2 trials (`fuzz_pair_once`, snapshots off, one OS
 //! thread) over padded-loop workloads — the paper's dominant shape, long
-//! compute sections between scheduler-relevant events — under
-//! [`ExecEngine::TreeWalk`] and [`ExecEngine::Bytecode`], and reports
-//! trials/second for each.
+//! compute sections between scheduler-relevant events — on the bytecode
+//! engine and on the tree-walking interpreter (each program's
+//! [`cil::Program::tree_walked`] copy), and reports trials/second for each.
 //!
 //! Each workload is measured under both scheduler configurations:
 //!
@@ -37,7 +37,6 @@
 
 use campaign::json::Json;
 use detector::{predict_races, PredictConfig, RacePair};
-use interp::ExecEngine;
 use racefuzzer::{fuzz_pair_once, FuzzConfig};
 use rf_bench::TextTable;
 use std::process::ExitCode;
@@ -183,14 +182,14 @@ fn first_pair(program: &cil::Program) -> RacePair {
 fn measure(program: &cil::Program, pair: RacePair, at_sync: bool, trials: u64) -> (f64, f64) {
     const BATCHES: u64 = 4;
     let batch = (trials / BATCHES).max(1);
+    let tree_walked = program.tree_walked();
     let mut best = [0.0_f64; 2];
     for round in 0..BATCHES {
-        for (slot, engine) in [(0, ExecEngine::TreeWalk), (1, ExecEngine::Bytecode)] {
+        for (slot, program) in [(0, &tree_walked), (1, program)] {
             let start = rf_bench::thread_cpu_time();
             for seed in round * batch..(round + 1) * batch {
                 let config = FuzzConfig {
                     seed,
-                    engine,
                     switch_only_at_sync: at_sync,
                     ..FuzzConfig::default()
                 };

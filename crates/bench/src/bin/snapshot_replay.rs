@@ -9,7 +9,8 @@
 //! * `fresh` — `fuzz_pair_once` in a loop: a new interpreter per trial
 //!   (the pre-snapshot baseline),
 //! * `scratch` — `fuzz_pair`: no snapshots, but one reused
-//!   [`racefuzzer::algorithm::TrialScratch`] across trials,
+//!   `TrialScratch` (racefuzzer's crate-private trial buffers) across
+//!   trials,
 //! * `prologue` — snapshot cache in [`SnapshotMode::PrologueOnly`] (the
 //!   default).
 //!

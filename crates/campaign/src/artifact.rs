@@ -211,10 +211,6 @@ pub struct FailureArtifact {
     /// [`FuzzConfig::max_heap_cells`] of the failing trial (absent in
     /// format v2 artifacts, which predate the heap budget).
     pub max_heap_cells: Option<u64>,
-    /// [`FuzzConfig::engine`] of the failing trial, so an interpreter bug
-    /// in one engine replays under that engine. Artifacts that predate the
-    /// knob load as [`interp::ExecEngine::Bytecode`] (the default engine).
-    pub engine: interp::ExecEngine,
     /// Which candidate source proposed the target pair (artifacts that
     /// predate static candidate generation load as
     /// [`Provenance::Dynamic`]).
@@ -234,7 +230,6 @@ impl FailureArtifact {
             location_precise: self.location_precise,
             switch_only_at_sync: self.switch_only_at_sync,
             max_heap_cells: self.max_heap_cells,
-            engine: self.engine,
         }
     }
 
@@ -281,11 +276,12 @@ impl FailureArtifact {
                 },
             ),
             ("provenance", Json::str(self.provenance.tag())),
-            ("engine", Json::str(self.engine.name())),
         ])
     }
 
-    /// Deserializes from the JSON object form.
+    /// Deserializes from the JSON object form. Keys this build does not
+    /// read are ignored — among them the `engine` tag that earlier v3
+    /// builds wrote, from when the interpreter core was selectable.
     pub fn from_json(value: &Json) -> Result<FailureArtifact, ArtifactError> {
         let field = |key: &str| {
             value
@@ -353,11 +349,6 @@ impl FailureArtifact {
                 .and_then(Json::as_str)
                 .and_then(Provenance::from_tag)
                 .unwrap_or(Provenance::Dynamic),
-            engine: value
-                .get("engine")
-                .and_then(Json::as_str)
-                .and_then(interp::ExecEngine::parse)
-                .unwrap_or_default(),
         })
     }
 
@@ -469,7 +460,6 @@ mod tests {
             wall_clock_ms: Some(250),
             max_heap_cells: Some(1 << 20),
             provenance: Provenance::Both,
-            engine: interp::ExecEngine::Bytecode,
         }
     }
 
@@ -514,9 +504,7 @@ mod tests {
         let mut value = sample().to_json();
         if let Json::Obj(fields) = &mut value {
             fields[0].1 = Json::u64(2);
-            fields.retain(|(key, _)| {
-                key != "max_heap_cells" && key != "provenance" && key != "engine"
-            });
+            fields.retain(|(key, _)| key != "max_heap_cells" && key != "provenance");
         }
         let dir = std::env::temp_dir().join(format!("artifact-v2-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -526,6 +514,65 @@ mod tests {
         assert_eq!(loaded.max_heap_cells, None);
         assert_eq!(loaded.provenance, Provenance::Dynamic);
         assert_eq!(loaded.seed, sample().seed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn v3_artifact_naming_an_engine_loads_replays_and_resaves_without_it() {
+        let program = cil::compile(
+            r#"
+            global x = 0;
+            proc child() { @w x = 1; }
+            proc main() {
+                var t = spawn child();
+                @r var v = x;
+                var i = 0;
+                while (i < 100) { i = i + 1; }
+                join t;
+            }
+            "#,
+        )
+        .unwrap();
+        let artifact = FailureArtifact {
+            entry: "main".to_owned(),
+            program_digest: program_digest(&program),
+            pair: RacePair::new(program.tagged_access("w"), program.tagged_access("r")),
+            kind: FailureKind::StepBudget,
+            max_steps: 24,
+            wall_clock_ms: None,
+            ..sample()
+        };
+        let expected =
+            crate::reproduce_on(&program, "main", &crate::FuzzRunner, &artifact).unwrap();
+        assert!(expected.matches(&artifact));
+        // What builds that wrote `"engine": "tree_walk"` replayed on.
+        let walked = program.tree_walked();
+        let reference =
+            crate::reproduce_on(&walked, "main", &crate::FuzzRunner, &artifact).unwrap();
+        assert_eq!(format!("{reference:?}"), format!("{expected:?}"));
+
+        let dir = std::env::temp_dir().join(format!("artifact-engine-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Earlier v3 builds appended the interpreter core they ran on.
+        for engine in ["bytecode", "tree_walk"] {
+            let mut value = artifact.to_json();
+            if let Json::Obj(fields) = &mut value {
+                fields.push(("engine".to_owned(), Json::str(engine)));
+            }
+            let path = dir.join(format!("{engine}.json"));
+            std::fs::write(&path, durable::seal(&value.to_text())).unwrap();
+
+            let loaded = FailureArtifact::load(&path).unwrap();
+            assert_eq!(loaded, artifact, "{engine}");
+            let replay =
+                crate::reproduce_on(&program, "main", &crate::FuzzRunner, &loaded).unwrap();
+            assert_eq!(format!("{replay:?}"), format!("{expected:?}"), "{engine}");
+
+            loaded.save(&path).unwrap();
+            let resaved = std::fs::read_to_string(&path).unwrap();
+            assert!(!resaved.contains("\"engine\""), "{engine}: {resaved}");
+            assert_eq!(FailureArtifact::load(&path).unwrap(), artifact, "{engine}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

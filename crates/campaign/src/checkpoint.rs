@@ -8,11 +8,11 @@
 //!
 //! The file is a **journal**: a header record (format tag, the
 //! [`CheckpointHeader`], and each job's name, entry and program digest)
-//! followed by one single-line [`Record`] per commit. Every record is
+//! followed by one single-line `Record` per commit. Every record is
 //! framed with its length and a CRC-32 ([`durable::frame`]) and fsynced
 //! when it is appended, so durability stays per pair while a commit costs
 //! the bytes of that pair's record, not a rewrite of the whole document.
-//! The live campaign and [`replay`] share one [`Record::apply`]: state is
+//! The live campaign and [`replay`] share one `Record::apply`: state is
 //! always the fold of the journal, so resumed state cannot drift from the
 //! state the interrupted run held.
 //!

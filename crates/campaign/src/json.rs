@@ -229,12 +229,20 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply arrays and objects may nest. Every document this crate
+/// writes nests to single digits; the bound keeps the recursive parser
+/// from overflowing the stack on a hostile or corrupt file (a checkpoint
+/// of 200,000 `{` would otherwise abort the process instead of being
+/// sidelined as corrupt).
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing whitespace is allowed, trailing
-/// content is an error.
+/// content is an error, and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -248,6 +256,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -296,11 +306,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a value")),
         }
+    }
+
+    /// Parses one array or object a nesting level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nested deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -480,6 +504,17 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} tail").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let error = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(error.offset, MAX_DEPTH);
+        // Deep enough to overflow the stack without the bound.
+        let hostile = "{\"a\":".repeat(200_000);
+        assert_eq!(parse(&hostile).unwrap_err().offset, 5 * MAX_DEPTH);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use supervisor::{supervise, ChildExit, CrashLedger, SupervisorOptions, Super
 use crate::checkpoint::Record;
 use crate::durable::AppendLog;
 use crate::json::Json;
-use detector::{DetectorImpl, PredictConfig, RacePair};
+use detector::{PredictConfig, RacePair};
 use interp::SetupError;
 use racefuzzer::{
     fuzz_pair_once, fuzz_pair_once_cached, CandidateSource, EntryCache, FuzzConfig, FuzzOutcome,
@@ -386,17 +386,6 @@ pub struct CampaignReport {
     pub interrupted: bool,
     /// `true` if progress was restored from a checkpoint.
     pub resumed: bool,
-    /// Which Phase-1 engine produced the candidate pairs (from
-    /// [`CampaignOptions::predict`]); recorded so campaign artifacts are
-    /// attributable when comparing epoch vs naive runs.
-    pub detector: DetectorImpl,
-    /// Which Phase-2 execution engine ran the trials (from
-    /// [`racefuzzer::FuzzConfig::engine`]). Attribution only: the engines
-    /// are observably identical by contract, so — unlike `detector`, which
-    /// determines the candidate set — this is excluded from
-    /// [`CampaignReport::canonical_json`], keeping canonical bytes
-    /// engine-independent (the differential suite's equality oracle).
-    pub engine: interp::ExecEngine,
     /// What the startup recovery scan cleaned up (stale temp files, torn
     /// checkpoints/artifacts sidelined to `.corrupt-N`). Run-relative, so
     /// excluded from [`CampaignReport::canonical_json`].
@@ -442,7 +431,6 @@ impl CampaignReport {
     pub fn canonical_json(&self) -> String {
         Json::obj(vec![
             ("format_version", Json::u64(artifact::FORMAT_VERSION)),
-            ("detector", Json::str(self.detector.tag())),
             ("interrupted", Json::Bool(self.interrupted)),
             (
                 "jobs",
@@ -723,8 +711,6 @@ impl Campaign {
             jobs,
             interrupted,
             resumed,
-            detector: self.options.predict.detector,
-            engine: self.options.fuzz.engine,
             recovery,
         }
     }
@@ -1076,7 +1062,6 @@ impl Campaign {
             switch_only_at_sync: self.options.fuzz.switch_only_at_sync,
             wall_clock_ms: artifact::duration_ms(self.options.fuzz.wall_clock),
             max_heap_cells: self.options.fuzz.max_heap_cells,
-            engine: self.options.fuzz.engine,
             // The failing pair is the one currently being fuzzed — its
             // report has not been committed yet, so its index is the
             // report count. Pre-provenance jobs default to Dynamic.

@@ -1,12 +1,12 @@
 //! Crash-safety satellites: corrupt-artifact handling, whole-document
 //! (v2, v3) checkpoint migration to the journal, the journal's torn-tail
-//! rule at every byte offset, and the heap-cell budget as a reported
-//! verdict.
+//! rule at every byte offset, a pathologically nested checkpoint, and the
+//! heap-cell budget as a reported verdict.
 
 use campaign::checkpoint::{self, JOURNAL_FORMAT};
 use campaign::{
     program_digest, ArtifactError, Campaign, CampaignJob, CampaignOptions, FailureArtifact,
-    FailureKind, FuzzRunner, QuarantineReason, TrialRunner,
+    FailureKind, FuzzRunner, QuarantineReason, RecoveryAction, TrialRunner,
 };
 use detector::RacePair;
 use interp::SetupError;
@@ -371,6 +371,39 @@ fn journal_torn_at_every_byte_resumes_to_the_uninterrupted_report() {
         let healed = checkpoint::replay(&path).unwrap();
         assert!(healed.torn.is_none(), "cut {cut}: the resumed run rewrote a clean journal");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn deeply_nested_checkpoint_is_sidelined_not_a_stack_overflow() {
+    let dir = temp_dir("deep-nesting");
+    let checkpoint = dir.join("checkpoint.json");
+    // First byte `{` and no CRC footer: the whole-document compatibility
+    // path, which parses the file with nothing screening it first. Nested
+    // this deep, an unbounded recursive parser overflows the stack.
+    let hostile = format!("{{\"jobs\":{}", "[".repeat(200_000));
+    std::fs::write(&checkpoint, &hostile).unwrap();
+    let options = CampaignOptions {
+        trials_per_pair: 2,
+        checkpoint_path: Some(checkpoint.clone()),
+        ..CampaignOptions::default()
+    };
+    let job = vec![CampaignJob::new("migrate", migration_program(), "main")];
+    let report = Campaign::new(job, options).run().unwrap();
+    assert!(!report.resumed, "a corrupt checkpoint must not be adopted");
+    assert!(report.completed());
+    assert!(
+        report
+            .recovery
+            .iter()
+            .any(|event| event.action == RecoveryAction::SidelinedCorrupt),
+        "{:?}",
+        report.recovery
+    );
+    let copies = corrupt_copies(&dir);
+    assert_eq!(copies.len(), 1, "{copies:?}");
+    assert_eq!(std::fs::read_to_string(&copies[0]).unwrap(), hostile);
+    assert!(checkpoint::replay(&checkpoint).unwrap().checkpoint.jobs[0].done);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,6 +1,6 @@
 //! The register-bytecode backend: a flat micro-op encoding of the IR.
 //!
-//! [`Instr`]s are trees: a `StoreElem` holds two [`PureExpr`]s, each an
+//! [`Instr`]s are trees: a `StoreElem` holds two [`PureExpr`](crate::flat::PureExpr)s, each an
 //! arbitrary expression tree, and executing one statement means recursing
 //! through boxed nodes and matching a 26-variant enum at every level. The
 //! bytecode pass flattens each instruction into a short run of register
@@ -25,7 +25,7 @@
 //! Heads whose tree-walk semantics perform checks *before* evaluating an
 //! operand expression (`StoreField`/`LoadElem`/`StoreElem` check the
 //! receiver first) only fuse operands that compile without emitted ops
-//! ([`no_ops_rvalue`]); anything more complex falls back to the tree-walker
+//! (`no_ops_rvalue`); anything more complex falls back to the tree-walker
 //! for that single instruction ([`Op::Fallback`]), preserving exception
 //! order by construction.
 //!

@@ -506,6 +506,8 @@ pub struct Program {
     pub builtins: BuiltinExceptions,
     /// Lazily compiled register-bytecode image (see [`Program::bytecode`]).
     pub(crate) bytecode: OnceLock<CodeImage>,
+    /// Set on the reference copy made by [`Program::tree_walked`].
+    pub(crate) tree_walked: bool,
 }
 
 impl Program {
@@ -645,5 +647,23 @@ impl Program {
     /// worker gets here first pays the one-time compile.
     pub fn bytecode(&self) -> &CodeImage {
         self.bytecode.get_or_init(|| CodeImage::compile(self))
+    }
+
+    /// A copy of this program that executions run on the tree-walking
+    /// interpreter — the reference semantics the bytecode engine is
+    /// differentially tested against. The two are observably identical,
+    /// so anything driven with the copy (analysis, campaigns, parallel
+    /// workers, snapshots) must produce the same reports.
+    pub fn tree_walked(&self) -> Program {
+        Program {
+            tree_walked: true,
+            ..self.clone()
+        }
+    }
+
+    /// The image executions of this program dispatch to: `None` for a
+    /// [`Program::tree_walked`] copy, [`Program::bytecode`] otherwise.
+    pub fn code_image(&self) -> Option<&CodeImage> {
+        (!self.tree_walked).then(|| self.bytecode())
     }
 }

@@ -87,6 +87,7 @@ pub fn lower_module(module: &Module, info: &ModuleInfo) -> Program {
         tags: lowerer.tags,
         builtins,
         bytecode: std::sync::OnceLock::new(),
+        tree_walked: false,
     }
 }
 

@@ -8,7 +8,7 @@
 //! racing-pair lists — not just equal sets modulo order, byte-identical
 //! stable-order output.
 
-use detector::{predict_races, DetectorEngine, DetectorImpl, EpochEngine, Policy, PredictConfig};
+use detector::{predict_races, predict_with, DetectorEngine, EpochEngine, Policy, PredictConfig};
 use interp::{run_with, Limits, RandomScheduler};
 use proptest::prelude::*;
 
@@ -117,17 +117,12 @@ proptest! {
         let source = render_program(&threads);
         let program = cil::compile(&source).expect("generated source compiles");
         for policy in [Policy::Hybrid, Policy::HappensBefore, Policy::Lockset] {
-            let predict = |detector| {
-                predict_races(&program, "main", &PredictConfig {
-                    policy,
-                    detector,
-                    ..PredictConfig::default()
-                })
-                .expect("prediction runs")
-            };
+            let config = PredictConfig { policy, ..PredictConfig::default() };
+            let naive = DetectorEngine::into_races;
             prop_assert_eq!(
-                predict(DetectorImpl::Epoch),
-                predict(DetectorImpl::Naive),
+                predict_races(&program, "main", &config).expect("prediction runs"),
+                predict_with(&program, "main", &config, DetectorEngine::new, naive)
+                    .expect("prediction runs"),
                 "{:?} diverged on:\n{}",
                 policy,
                 source

@@ -21,7 +21,7 @@ use crate::locks::LockTable;
 use crate::thread::{Frame, Protection, Status, ThreadState, UncaughtException};
 use crate::value::{ObjId, ThreadId, Value};
 use crate::scratch;
-use crate::vm::{ExecEngine, EMPTY_CACHE};
+use crate::vm::EMPTY_CACHE;
 use cil::ast::{BinOp, UnOp};
 use cil::bytecode::{CodeImage, EnabledKind};
 use cil::flat::{Instr, InstrId, LocalId, ProcId, PureExpr};
@@ -187,6 +187,15 @@ fn resolve_entry(program: &Program, entry: &str) -> Result<(ProcId, InstrId, usi
     Ok((proc, info.entry, info.local_count()))
 }
 
+/// Per-step temporaries and inline caches sized for `code`; both empty
+/// when the tree-walker runs.
+fn vm_scratch(code: Option<&CodeImage>) -> (Vec<Value>, Vec<(u32, u32)>) {
+    let (temps, sites) = code.map_or((0, 0), |code| {
+        (code.max_temps() as usize, code.cache_sites() as usize)
+    });
+    (scratch::take_values(temps), scratch::take_caches(sites, EMPTY_CACHE))
+}
+
 /// A running (or finished) program state.
 pub struct Execution<'p> {
     pub(crate) program: &'p Program,
@@ -205,11 +214,8 @@ pub struct Execution<'p> {
     /// Heap-cell budget; `None` means unbounded (see
     /// [`Execution::set_heap_budget`]).
     heap_budget: Option<u64>,
-    /// Which execution engine [`Execution::step`] dispatches to (see
-    /// [`crate::vm::ExecEngine`]).
-    engine: ExecEngine,
-    /// The program's bytecode image when `engine` is `Bytecode`; `None`
-    /// forces the tree-walker.
+    /// The bytecode image [`Execution::step`] dispatches to; `None` (a
+    /// [`Program::tree_walked`] program) runs the tree-walker.
     pub(crate) code: Option<&'p CodeImage>,
     /// Per-step temporary registers, sized to [`CodeImage::max_temps`].
     /// Purely intra-step state: never captured in a [`Snapshot`].
@@ -235,7 +241,8 @@ impl<'p> Execution<'p> {
         globals.extend(program.globals.iter().map(|global| Value::from(&global.init)));
         let mut threads = scratch::take_thread_table();
         threads.push(scratch::take_thread(ThreadId(0), proc, entry_pc, local_count));
-        let code = program.bytecode();
+        let code = program.code_image();
+        let (vm_temps, field_caches) = vm_scratch(code);
         Ok(Execution {
             program,
             heap: Heap::new(),
@@ -249,10 +256,9 @@ impl<'p> Execution<'p> {
             uncaught: Vec::new(),
             poisoned: None,
             heap_budget: None,
-            engine: ExecEngine::Bytecode,
-            code: Some(code),
-            vm_temps: scratch::take_values(code.max_temps() as usize),
-            field_caches: scratch::take_caches(code.cache_sites() as usize, EMPTY_CACHE),
+            code,
+            vm_temps,
+            field_caches,
         })
     }
 
@@ -279,7 +285,8 @@ impl<'p> Execution<'p> {
     /// snapshots deliberately carry no program reference so they can cross
     /// threads and outlive the borrow they were taken under.
     pub fn resume(program: &'p Program, snapshot: &Snapshot) -> Execution<'p> {
-        let code = program.bytecode();
+        let code = program.code_image();
+        let (vm_temps, field_caches) = vm_scratch(code);
         let mut globals = scratch::take_value_buffer(snapshot.globals.len());
         globals.extend(snapshot.globals.iter().cloned());
         let mut threads = scratch::take_thread_table();
@@ -297,10 +304,9 @@ impl<'p> Execution<'p> {
             uncaught: snapshot.uncaught.clone(),
             poisoned: snapshot.poisoned.clone(),
             heap_budget: snapshot.heap_budget,
-            engine: ExecEngine::Bytecode,
-            code: Some(code),
-            vm_temps: scratch::take_values(code.max_temps() as usize),
-            field_caches: scratch::take_caches(code.cache_sites() as usize, EMPTY_CACHE),
+            code,
+            vm_temps,
+            field_caches,
         }
     }
 
@@ -378,35 +384,15 @@ impl<'p> Execution<'p> {
         self.heap_budget = budget;
     }
 
-    /// Selects the execution engine (see [`ExecEngine`]). Both engines are
-    /// observably identical — same events, RNG-visible choices, errors, and
-    /// step counts — so this only changes speed. The default is
-    /// [`ExecEngine::Bytecode`]; switching is cheap and survives
-    /// [`Execution::restore`]/[`Execution::reset`].
-    pub fn set_engine(&mut self, engine: ExecEngine) {
-        self.engine = engine;
-        match engine {
-            ExecEngine::Bytecode => {
-                let code = self.program.bytecode();
-                self.vm_temps.resize(code.max_temps() as usize, Value::Null);
-                self.field_caches
-                    .resize(code.cache_sites() as usize, EMPTY_CACHE);
-                self.code = Some(code);
-            }
-            ExecEngine::TreeWalk => self.code = None,
-        }
-    }
-
-    /// Replaces the bytecode image driving [`ExecEngine::Bytecode`] and
-    /// switches to that engine — bench support for comparing compile
-    /// variants (e.g. [`CodeImage::compile_unfused`]) on one program.
+    /// Replaces the bytecode image this execution dispatches to — bench
+    /// support for comparing compile variants (e.g.
+    /// [`CodeImage::compile_unfused`]) on one program.
     ///
     /// `code` must have been compiled from this execution's program; the
     /// footprint table, cache-site count, and temp bank are all
     /// image-relative, so a mismatched image is immediate undefined
     /// *behaviour of the interpreted program* (not memory unsafety).
     pub fn set_code_image(&mut self, code: &'p CodeImage) {
-        self.engine = ExecEngine::Bytecode;
         self.vm_temps.resize(code.max_temps() as usize, Value::Null);
         // Cache sites are numbered per image: entries learned under the
         // previous image would hit the wrong slots, so scrub them all.
@@ -414,11 +400,6 @@ impl<'p> Execution<'p> {
         self.field_caches
             .resize(code.cache_sites() as usize, EMPTY_CACHE);
         self.code = Some(code);
-    }
-
-    /// The engine [`Execution::step`] currently dispatches to.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
     }
 
     /// Charges an allocation of `len` fields/elements against the heap
@@ -1687,8 +1668,8 @@ impl fmt::Debug for Execution<'_> {
 
 impl Drop for Execution<'_> {
     /// Donates this execution's scratch buffers back to the thread-local
-    /// [`scratch`] pools — thread records still shared with a snapshot are
-    /// skipped inside [`scratch::recycle_thread`].
+    /// `scratch` pools — thread records still shared with a snapshot are
+    /// skipped inside `scratch::recycle_thread`.
     fn drop(&mut self) {
         scratch::recycle_values(std::mem::take(&mut self.vm_temps));
         scratch::recycle_caches(std::mem::take(&mut self.field_caches));

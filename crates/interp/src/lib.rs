@@ -54,7 +54,6 @@ pub mod value;
 pub mod vm;
 
 pub use event::{Access, Event, Loc, MsgId, NullObserver, Observer, RecordingObserver};
-pub use vm::ExecEngine;
 pub use exec::{ExecError, Execution, SetupError, Snapshot, StepResult};
 pub use heap::{Heap, HeapCell};
 pub use rng::Rng;

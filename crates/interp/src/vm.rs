@@ -1,7 +1,8 @@
 //! The register-bytecode execution engine.
 //!
-//! [`Execution::step`] dispatches here when the engine is
-//! [`ExecEngine::Bytecode`]: instead of matching the 26-variant [`Instr`]
+//! [`Execution::step`] dispatches here whenever the execution holds a
+//! code image (every program except a `Program::tree_walked` reference
+//! copy): instead of matching the 26-variant [`Instr`]
 //! enum and recursing through boxed `PureExpr` trees, it executes the flat
 //! micro-op range the [`CodeImage`] compiled for the pc (see
 //! `cil::bytecode` for the format and the fusion/fallback rules). Cold
@@ -40,44 +41,6 @@ use cil::flat::{ClassId, Instr, InstrId, LocalId};
 use cil::Symbol;
 use std::sync::Arc;
 
-/// Which interpreter core [`Execution::step`] runs.
-///
-/// Both engines are observably identical; the choice is a performance
-/// escape hatch (mirroring `DetectorImpl` for the race detectors), so any
-/// divergence between them is a bug by definition — and the differential
-/// suite treats it as one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ExecEngine {
-    /// Flat register micro-ops with fused superinstructions, inline field
-    /// caches, and table-driven `Enabled`/`NextStmt` queries (the default).
-    #[default]
-    Bytecode,
-    /// The original recursive interpreter over [`Instr`]/`PureExpr` trees —
-    /// the reference semantics and the differential-testing baseline.
-    TreeWalk,
-}
-
-impl ExecEngine {
-    /// Stable lowercase tag for configs, reports, and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecEngine::Bytecode => "bytecode",
-            ExecEngine::TreeWalk => "tree_walk",
-        }
-    }
-
-    /// Parses [`ExecEngine::name`]-style tags (CLI flags, campaign state).
-    pub fn parse(tag: &str) -> Option<ExecEngine> {
-        match tag {
-            "bytecode" => Some(ExecEngine::Bytecode),
-            "tree_walk" | "treewalk" | "tree-walk" => Some(ExecEngine::TreeWalk),
-            _ => None,
-        }
-    }
-
-    /// Both engines, for differential sweeps.
-    pub const ALL: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::TreeWalk];
-}
 
 /// An empty inline-cache entry: no class id is `u32::MAX` (class ids index
 /// `Program::classes`), so the first probe always misses and fills.
@@ -980,17 +943,17 @@ mod tests {
 
     fn run_both(source: &str, seed: u64) -> (crate::sched::RunOutcome, crate::sched::RunOutcome) {
         let program = cil::compile(source).unwrap();
-        let run = |engine: ExecEngine| {
+        let run = |program: &cil::Program| {
             run_with(
-                &program,
+                program,
                 "main",
                 &mut RandomScheduler::seeded(seed),
                 &mut NullObserver,
-                Limits::default().with_engine(engine),
+                Limits::default(),
             )
             .unwrap()
         };
-        (run(ExecEngine::Bytecode), run(ExecEngine::TreeWalk))
+        (run(&program), run(&program.tree_walked()))
     }
 
     #[test]
@@ -1065,20 +1028,20 @@ mod tests {
             }
         "#;
         let program = cil::compile(source).unwrap();
-        let record = |engine: ExecEngine| {
+        let record = |program: &cil::Program| {
             let mut observer = RecordingObserver::default();
             let outcome = run_with(
-                &program,
+                program,
                 "main",
                 &mut RandomScheduler::seeded(9),
                 &mut observer,
-                Limits::default().with_engine(engine),
+                Limits::default(),
             )
             .unwrap();
             (outcome.output, observer.events)
         };
-        let (out_bc, events_bc) = record(ExecEngine::Bytecode);
-        let (out_tw, events_tw) = record(ExecEngine::TreeWalk);
+        let (out_bc, events_bc) = record(&program);
+        let (out_tw, events_tw) = record(&program.tree_walked());
         assert_eq!(out_bc, out_tw);
         assert_eq!(
             format!("{events_bc:?}"),
@@ -1140,9 +1103,10 @@ mod tests {
             }
         "#;
         let program = cil::compile(source).unwrap();
+        let reference = program.tree_walked();
         let mut bytecode = Execution::new(&program, "main").unwrap();
-        let mut tree = Execution::new(&program, "main").unwrap();
-        tree.set_engine(ExecEngine::TreeWalk);
+        let mut tree = Execution::new(&reference, "main").unwrap();
+        assert!(bytecode.code.is_some() && tree.code.is_none());
         // March both executions in lockstep under the same schedule and
         // compare every thread's next_access at every state.
         loop {
@@ -1169,24 +1133,15 @@ mod tests {
         let program = cil::compile(
             "global x = 0; proc main() { x = x + 1; print x; }",
         )
-        .unwrap();
+        .unwrap()
+        .tree_walked();
         let mut exec = Execution::new(&program, "main").unwrap();
-        exec.set_engine(ExecEngine::TreeWalk);
+        assert!(exec.code.is_none());
         exec.reset("main").unwrap();
-        assert_eq!(exec.engine(), ExecEngine::TreeWalk);
+        assert!(exec.code.is_none());
         let snapshot = exec.snapshot();
         exec.restore(&snapshot);
-        assert_eq!(exec.engine(), ExecEngine::TreeWalk);
-        exec.set_engine(ExecEngine::Bytecode);
-        assert_eq!(exec.engine(), ExecEngine::Bytecode);
-    }
-
-    #[test]
-    fn engine_tags_round_trip() {
-        for engine in ExecEngine::ALL {
-            assert_eq!(ExecEngine::parse(engine.name()), Some(engine));
-        }
-        assert_eq!(ExecEngine::parse("jit"), None);
-        assert_eq!(ExecEngine::default(), ExecEngine::Bytecode);
+        assert!(exec.code.is_none());
+        assert!(Execution::resume(&program, &snapshot).code.is_none());
     }
 }

@@ -49,12 +49,6 @@ pub struct FuzzConfig {
     /// termination, counted in [`crate::PairReport::memory_trials`] —
     /// instead of OOM-killing the harness process.
     pub max_heap_cells: Option<u64>,
-    /// Which interpreter core executes trials
-    /// ([`interp::ExecEngine::Bytecode`] by default). Both engines are
-    /// observably identical — same RNG draw order, event streams, and
-    /// reports — so this is a performance escape hatch, mirroring
-    /// [`crate::DetectorImpl`] for the Phase-1 detectors.
-    pub engine: interp::ExecEngine,
 }
 
 impl Default for FuzzConfig {
@@ -68,7 +62,6 @@ impl Default for FuzzConfig {
             location_precise: true,
             switch_only_at_sync: false,
             max_heap_cells: None,
-            engine: interp::ExecEngine::default(),
         }
     }
 }

@@ -75,10 +75,6 @@ pub use runner::{
 pub use snapshot::{EntryCache, PairCache, SnapshotMode, SnapshotOptions, SnapshotStats};
 pub use trace::render_trace;
 
-/// Phase-1 engine selection, re-exported so drivers can pick the engine
-/// without depending on `detector` directly.
-pub use detector::DetectorImpl;
-
 use detector::RacePair;
 use interp::SetupError;
 

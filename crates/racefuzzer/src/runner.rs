@@ -10,7 +10,7 @@ use crate::algorithm::{fuzz_once_session, TrialScratch};
 use crate::config::FuzzConfig;
 use crate::parallel::{fuzz_pairs_parallel_cached, ParallelOptions};
 use crate::snapshot::{EntryCache, PairCache, SnapshotMode, SnapshotOptions, SnapshotStats};
-use detector::{predict_races, DetectorImpl, PredictConfig, RacePair};
+use detector::{predict_races, PredictConfig, RacePair};
 use interp::{run_with, Limits, NullObserver, RandomScheduler, SetupError};
 use sana::{PruneReason, StaticRaceFilter};
 use std::collections::{BTreeMap, BTreeSet};
@@ -144,33 +144,15 @@ impl AnalyzeOptions {
         self
     }
 
-    /// Builder-style: select the Phase-1 engine implementation
-    /// (epoch-optimized by default; [`DetectorImpl::Naive`] is the
-    /// differential-testing escape hatch).
-    pub fn detector(mut self, detector: DetectorImpl) -> Self {
-        self.predict.detector = detector;
-        self
-    }
-
     /// Builder-style: select where candidate pairs come from.
     pub fn source(mut self, source: CandidateSource) -> Self {
         self.source = source;
         self
     }
 
-    /// Builder-style: select the snapshot-acceleration mode, keeping the
-    /// default depth and memory budget.
+    /// Builder-style: select the snapshot-acceleration mode.
     pub fn snapshot_mode(mut self, mode: SnapshotMode) -> Self {
         self.snapshots.mode = mode;
-        self
-    }
-
-    /// Builder-style: select the Phase-2 execution engine
-    /// ([`interp::ExecEngine::Bytecode`] by default;
-    /// [`interp::ExecEngine::TreeWalk`] is the differential-testing escape
-    /// hatch, mirroring [`AnalyzeOptions::detector`] for Phase 1).
-    pub fn engine(mut self, engine: interp::ExecEngine) -> Self {
-        self.fuzz.engine = engine;
         self
     }
 }

@@ -24,6 +24,7 @@
 //! threads. That stability check lives in the filter, not here.
 //!
 //! [`may-release`]: LockAnalysis::may_release
+//! [`ExecCount::One`]: crate::callgraph::ExecCount::One
 
 use std::collections::BTreeSet;
 

@@ -54,7 +54,7 @@ pub mod prelude {
     };
     pub use cil;
     pub use detector::{
-        predict_races, DetectorEngine, DetectorImpl, EpochEngine, Policy, PredictConfig, RacePair,
+        predict_races, DetectorEngine, EpochEngine, Policy, PredictConfig, RacePair,
     };
     pub use interp::{
         run_with, Limits, NullObserver, RandomScheduler, RoundRobinScheduler,

@@ -1,6 +1,7 @@
-//! Workload-sweep differential test: `DetectorImpl::Epoch` and
-//! `DetectorImpl::Naive` must produce byte-identical candidate-pair lists
-//! for every Table-1 workload, under every policy.
+//! Workload-sweep differential test: the epoch engine behind
+//! `predict_races` and the naive full-clock `DetectorEngine` (reached
+//! through `predict_with`) must produce byte-identical candidate-pair
+//! lists for every Table-1 workload, under every policy.
 //!
 //! This is the acceptance gate for the epoch-optimized Phase 1: the fast
 //! engine is only allowed to be *faster*, never to change what Phase 2 is
@@ -8,6 +9,7 @@
 //! `crates/detector/tests/epoch_differential.rs`; this sweep pins the real
 //! workloads the paper's Table 1 is built from.
 
+use racefuzzer_suite::detector::predict_with;
 use racefuzzer_suite::prelude::*;
 
 #[test]
@@ -16,20 +18,20 @@ fn epoch_and_naive_predictions_match_on_all_workloads() {
         let program = cil::compile(&workload.source)
             .unwrap_or_else(|e| panic!("{} fails to compile: {e}", workload.name));
         for policy in [Policy::Hybrid, Policy::HappensBefore, Policy::Lockset] {
-            let predict = |detector| {
-                predict_races(
-                    &program,
-                    workload.entry,
-                    &PredictConfig {
-                        policy,
-                        detector,
-                        ..PredictConfig::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{}: prediction failed: {e:?}", workload.name))
+            let config = PredictConfig {
+                policy,
+                ..PredictConfig::default()
             };
-            let epoch = predict(DetectorImpl::Epoch);
-            let naive = predict(DetectorImpl::Naive);
+            let failed = |e| panic!("{}: prediction failed: {e:?}", workload.name);
+            let epoch = predict_races(&program, workload.entry, &config).unwrap_or_else(failed);
+            let naive = predict_with(
+                &program,
+                workload.entry,
+                &config,
+                DetectorEngine::new,
+                DetectorEngine::into_races,
+            )
+            .unwrap_or_else(failed);
             assert_eq!(
                 epoch, naive,
                 "{} under {policy:?}: epoch and naive candidate sets diverge",
@@ -53,21 +55,14 @@ fn epoch_and_naive_predictions_match_with_more_observation_runs() {
         ("figure1", workloads::figure1()),
         ("figure2", workloads::figure2(6)),
     ] {
-        let predict = |detector| {
-            predict_races(
-                &program,
-                "main",
-                &PredictConfig {
-                    detector,
-                    seeds: (1..=24).collect(),
-                    ..PredictConfig::default()
-                },
-            )
-            .unwrap()
+        let config = PredictConfig {
+            seeds: (1..=24).collect(),
+            ..PredictConfig::default()
         };
         assert_eq!(
-            predict(DetectorImpl::Epoch),
-            predict(DetectorImpl::Naive),
+            predict_races(&program, "main", &config).unwrap(),
+            predict_with(&program, "main", &config, DetectorEngine::new, DetectorEngine::into_races)
+                .unwrap(),
             "{name}: deep seed sweep diverged"
         );
     }

@@ -4,7 +4,9 @@
 //! This is the acceptance gate for the bytecode execution engine: the fused
 //! micro-ops, inline field caches, and footprint-table `next_access` are
 //! only allowed to make trials *faster*, never to change a single byte of
-//! any report. The sweep pins every Table-1 workload under both engines,
+//! any report. The reference side runs each program's
+//! [`cil::Program::tree_walked`] copy, which executions interpret without
+//! a code image. The sweep pins every Table-1 workload under both engines,
 //! every snapshot mode, and sequential vs parallel trial pools; the
 //! property test extends the same oracle to randomly generated programs
 //! across a seed sweep. Unit-level lockstep coverage (event streams, RNG
@@ -12,7 +14,6 @@
 //! tests; this suite checks the full two-phase pipeline end to end.
 
 use proptest::prelude::*;
-use racefuzzer_suite::interp::ExecEngine;
 use racefuzzer_suite::prelude::*;
 use racefuzzer_suite::racefuzzer::SnapshotMode;
 
@@ -21,9 +22,8 @@ use racefuzzer_suite::racefuzzer::SnapshotMode;
 /// bookkeeping on at least some pairs.
 const TRIALS: usize = 6;
 
-fn options(engine: ExecEngine, mode: SnapshotMode, workers: usize) -> AnalyzeOptions {
+fn options(mode: SnapshotMode, workers: usize) -> AnalyzeOptions {
     AnalyzeOptions::with_trials(TRIALS)
-        .engine(engine)
         .snapshot_mode(mode)
         .workers(workers)
 }
@@ -36,20 +36,14 @@ fn render(report: &AnalysisReport) -> String {
 fn engines_agree_on_all_workloads_modes_and_worker_counts() {
     let mut failures = Vec::new();
     for workload in workloads::all() {
+        let reference = workload.program.tree_walked();
         for mode in SnapshotMode::ALL {
             for workers in [1, 4] {
-                let tree_walk = analyze(
-                    &workload.program,
-                    workload.entry,
-                    &options(ExecEngine::TreeWalk, mode, workers),
-                )
-                .expect("tree-walk analysis succeeds");
-                let bytecode = analyze(
-                    &workload.program,
-                    workload.entry,
-                    &options(ExecEngine::Bytecode, mode, workers),
-                )
-                .expect("bytecode analysis succeeds");
+                let options = options(mode, workers);
+                let tree_walk = analyze(&reference, workload.entry, &options)
+                    .expect("tree-walk analysis succeeds");
+                let bytecode = analyze(&workload.program, workload.entry, &options)
+                    .expect("bytecode analysis succeeds");
                 if render(&tree_walk) != render(&bytecode) {
                     failures.push(format!(
                         "{} under {mode:?} with {workers} worker(s)",
@@ -74,6 +68,7 @@ fn engines_agree_on_recorded_schedules_and_seed_sweeps() {
     // decisions (the §4 optimisation the throughput gate measures), and its
     // recorded schedules must still match statement for statement.
     let program = workloads::figure2(5);
+    let reference = program.tree_walked();
     let (pairs, _provenance) = gather_candidates(
         &program,
         "main",
@@ -84,16 +79,15 @@ fn engines_agree_on_recorded_schedules_and_seed_sweeps() {
     let pair = pairs[0];
     for at_sync in [false, true] {
         for seed in 0..40 {
-            let config = |engine| FuzzConfig {
+            let config = FuzzConfig {
                 seed,
-                engine,
                 record_schedule: true,
                 switch_only_at_sync: at_sync,
                 ..FuzzConfig::default()
             };
-            let tree_walk = fuzz_pair_once(&program, "main", pair, &config(ExecEngine::TreeWalk))
+            let tree_walk = fuzz_pair_once(&reference, "main", pair, &config)
                 .expect("tree-walk trial runs");
-            let bytecode = fuzz_pair_once(&program, "main", pair, &config(ExecEngine::Bytecode))
+            let bytecode = fuzz_pair_once(&program, "main", pair, &config)
                 .expect("bytecode trial runs");
             assert_eq!(
                 format!("{tree_walk:#?}"),
@@ -110,15 +104,15 @@ fn engines_agree_under_the_at_sync_scheduler() {
     // configuration gets its own workload sweep under the same oracle.
     let mut failures = Vec::new();
     for workload in workloads::all() {
+        let reference = workload.program.tree_walked();
         for mode in SnapshotMode::ALL {
-            let run = |engine| {
-                let mut options = options(engine, mode, 1);
-                options.fuzz.switch_only_at_sync = true;
-                analyze(&workload.program, workload.entry, &options)
-                    .expect("analysis succeeds")
+            let mut options = options(mode, 1);
+            options.fuzz.switch_only_at_sync = true;
+            let run = |program| {
+                analyze(program, workload.entry, &options).expect("analysis succeeds")
             };
-            let tree_walk = run(ExecEngine::TreeWalk);
-            let bytecode = run(ExecEngine::Bytecode);
+            let tree_walk = run(&reference);
+            let bytecode = run(&workload.program);
             if render(&tree_walk) != render(&bytecode) {
                 failures.push(format!("{} under {mode:?} (at_sync)", workload.name));
             }
@@ -209,8 +203,8 @@ fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
     source
 }
 
-fn quick_options(engine: ExecEngine, base_seed: u64) -> AnalyzeOptions {
-    let mut options = AnalyzeOptions::with_trials(5).engine(engine);
+fn quick_options(base_seed: u64) -> AnalyzeOptions {
+    let mut options = AnalyzeOptions::with_trials(5);
     options.base_seed = base_seed;
     options.predict = PredictConfig::with_runs(2);
     options.fuzz.postpone_limit = 100;
@@ -231,18 +225,11 @@ proptest! {
     ) {
         let source = render_program(3, &threads);
         let program = cil::compile(&source).expect("generated program compiles");
-        let tree_walk = analyze(
-            &program,
-            "main",
-            &quick_options(ExecEngine::TreeWalk, base_seed),
-        )
-        .expect("tree-walk analysis succeeds");
-        let bytecode = analyze(
-            &program,
-            "main",
-            &quick_options(ExecEngine::Bytecode, base_seed),
-        )
-        .expect("bytecode analysis succeeds");
+        let options = quick_options(base_seed);
+        let tree_walk = analyze(&program.tree_walked(), "main", &options)
+            .expect("tree-walk analysis succeeds");
+        let bytecode = analyze(&program, "main", &options)
+            .expect("bytecode analysis succeeds");
         prop_assert_eq!(
             format!("{:#?}", tree_walk),
             format!("{:#?}", bytecode),
